@@ -16,6 +16,7 @@
 //! ]
 //! ```
 
+use mediator_core::report::json_escape;
 use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
@@ -87,30 +88,19 @@ pub fn min_ns_per_op<T>(samples: usize, iters: u32, mut op: impl FnMut() -> T) -
         .expect("samples > 0")
 }
 
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Renders one trajectory entry as a JSON object.
 pub fn render_entry(label: &str, metrics: &[Metric]) -> String {
     let mut out = String::new();
-    out.push_str(&format!("  {{ \"label\": \"{}\",\n", escape(label)));
+    out.push_str(&format!("  {{ \"label\": \"{}\",\n", json_escape(label)));
     out.push_str("    \"metrics\": {\n");
     for (i, m) in metrics.iter().enumerate() {
         out.push_str(&format!(
             "      \"{}\": {{ \"ns_per_op\": {}",
-            escape(&m.name),
+            json_escape(&m.name),
             m.ns_per_op
         ));
         for (k, v) in &m.counters {
-            out.push_str(&format!(", \"{}\": {}", escape(k), v));
+            out.push_str(&format!(", \"{}\": {}", json_escape(k), v));
         }
         out.push_str(if i + 1 == metrics.len() {
             " }\n"
@@ -184,10 +174,5 @@ mod tests {
         assert!(s.trim_end().ends_with(']'));
         assert_eq!(s.matches("\"label\"").count(), 2);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn escape_handles_quotes() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
     }
 }

@@ -245,9 +245,12 @@ impl AbaState {
 mod tests {
     use super::*;
     use crate::coin::{IdealCoin, LocalCoin};
-    use crate::harness::{Behavior, Net};
+    use crate::driver::AbaPeer;
+    use mediator_sim::sansio::{run_machines, Behavior, ByzantineProcess};
+    use mediator_sim::SchedulerKind;
 
-    /// Runs one ABA instance; returns (decisions, deliveries).
+    /// Runs one ABA instance under the random scheduler, the players in
+    /// `byz` following `behavior`; returns (decisions, deliveries).
     fn run_aba(
         n: usize,
         t: usize,
@@ -257,32 +260,28 @@ mod tests {
         local_coin: bool,
         behavior: Behavior<AbaMsg>,
     ) -> (Vec<Option<bool>>, u64) {
-        let mut states: Vec<AbaState> = (0..n)
+        let machines: Vec<AbaPeer> = (0..n)
             .map(|i| {
                 let coin: Box<dyn CoinSource> = if local_coin {
                     Box::new(LocalCoin::new(1000 + i as u64))
                 } else {
                     Box::new(IdealCoin::new(99))
                 };
-                AbaState::new(n, t, 0, coin)
+                AbaPeer::new(AbaState::new(n, t, 0, coin), inputs[i])
             })
             .collect();
-        let mut decisions: Vec<Option<bool>> = vec![None; n];
-        let mut net = Net::new(n, byz.to_vec(), seed, behavior);
-        for i in 0..n {
-            if !byz.contains(&i) {
-                let batch = states[i].start(inputs[i]);
-                net.push_batch(i, batch);
-            }
-        }
-        net.run(|to, from, msg, sink| {
-            let (out, d) = states[to].on_message(from, msg);
-            if let Some(v) = d {
-                decisions[to] = Some(v);
-            }
-            sink.push_batch(to, out);
-        });
-        (decisions, net.delivered)
+        let byz = byz
+            .iter()
+            .map(|&p| (p, ByzantineProcess::new(behavior.clone_box())))
+            .collect();
+        let (outcome, decisions) = run_machines(
+            machines,
+            byz,
+            SchedulerKind::Random.build().as_mut(),
+            seed,
+            500_000,
+        );
+        (decisions, outcome.messages_delivered)
     }
 
     fn no_op() -> Behavior<AbaMsg> {

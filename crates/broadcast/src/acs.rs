@@ -191,7 +191,9 @@ impl<V: Clone + Ord> AcsState<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Behavior, Net};
+    use crate::driver::AcsPeer;
+    use mediator_sim::sansio::{run_machines, Behavior, ByzantineProcess};
+    use mediator_sim::SchedulerKind;
 
     fn no_op() -> Behavior<AcsMsg<u64>> {
         Box::new(|_, _, _| Vec::new())
@@ -204,23 +206,21 @@ mod tests {
         seed: u64,
         behavior: Behavior<AcsMsg<u64>>,
     ) -> (Vec<Option<BTreeMap<usize, u64>>>, u64) {
-        let mut states: Vec<AcsState<u64>> = (0..n).map(|i| AcsState::new(n, t, i, 7)).collect();
-        let mut outputs: Vec<Option<BTreeMap<usize, u64>>> = vec![None; n];
-        let mut net = Net::new(n, byz.to_vec(), seed, behavior);
-        for (i, state) in states.iter_mut().enumerate() {
-            if !byz.contains(&i) {
-                let batch = state.start(100 + i as u64);
-                net.push_batch(i, batch);
-            }
-        }
-        net.run(|to, from, msg, sink| {
-            let (out, done) = states[to].on_message(from, msg);
-            if let Some(s) = done {
-                outputs[to] = Some(s);
-            }
-            sink.push_batch(to, out);
-        });
-        (outputs, net.delivered)
+        let machines: Vec<AcsPeer<u64>> = (0..n)
+            .map(|i| AcsPeer::new(n, t, i, 7, 100 + i as u64))
+            .collect();
+        let byz = byz
+            .iter()
+            .map(|&p| (p, ByzantineProcess::new(behavior.clone_box())))
+            .collect();
+        let (outcome, outputs) = run_machines(
+            machines,
+            byz,
+            SchedulerKind::Random.build().as_mut(),
+            seed,
+            1_000_000,
+        );
+        (outputs, outcome.messages_delivered)
     }
 
     #[test]

@@ -20,19 +20,19 @@
 //!   players have delivered. This is what makes "wait for n−t inputs"
 //!   consistent across honest players in the input phase of the MPC.
 //!
-//! All three machines are driveable two ways: [`driver`] wraps them as
-//! [`mediator_sim::sansio::SansIo`] peers so the full `mediator-sim` `World`
-//! (every scheduler, traces, failure injection) can run them, and
-//! [`harness`] keeps the original deterministic single-threaded `Net` driver
-//! as a compatibility shim for lightweight unit tests. The driver-parity
-//! property suite (`tests/driver_parity.rs`) pins the two runtimes to each
-//! other.
+//! [`driver`] wraps all three machines as [`mediator_sim::sansio::SansIo`]
+//! peers, and the `mediator-sim` `World` is their only runtime: unit tests,
+//! benches and the MPC engine's tests all drive them through
+//! [`run_machines`](mediator_sim::sansio::run_machines) (every scheduler,
+//! traces, failure injection via
+//! [`ByzantineProcess`](mediator_sim::sansio::ByzantineProcess)). The
+//! scheduler-parity property suite (`tests/driver_parity.rs`) pins the
+//! protocols' guarantees under every scheduler family.
 
 pub mod aba;
 pub mod acs;
 pub mod coin;
 pub mod driver;
-pub mod harness;
 pub mod outgoing;
 pub mod rbc;
 

@@ -1,9 +1,8 @@
 //! Outgoing-message plumbing shared by the state machines.
 //!
-//! The canonical definitions now live in [`mediator_sim::sansio`] — the
-//! shared sans-IO driving contract — so every runtime (the full `World` and
-//! the legacy [`Net`](crate::harness::Net) test driver) speaks the same
-//! shapes. This module re-exports them under their historical paths.
+//! The canonical definitions live in [`mediator_sim::sansio`] — the shared
+//! sans-IO driving contract the `World` runs machines through. This module
+//! re-exports them under their historical paths.
 //!
 //! [`Payload`] is the broadcast fan-out companion: `route_batch` clones a
 //! [`Dest::All`] message once per destination, so `Vec<Fp>`-bearing wire

@@ -165,42 +165,40 @@ fn insert_vote<V: Clone + Ord>(votes: &mut Vec<(V, VoterSet)>, v: &V, from: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Net;
+    use crate::driver::RbcPeer;
+    use mediator_sim::sansio::{run_machines, Behavior, ByzantineProcess};
+    use mediator_sim::{Outcome, SchedulerKind};
 
-    /// Runs one RBC instance over the harness with `byz` byzantine players
-    /// (who follow `behavior`). Returns delivered values per honest player.
+    /// Runs one RBC instance (dealer value 42) under the random scheduler
+    /// with `byz` byzantine players. Returns the world outcome and the
+    /// delivered value per player.
     fn run_rbc(
         n: usize,
         t: usize,
         dealer: usize,
-        byz: &[usize],
+        byz: Vec<(usize, ByzantineProcess<RbcMsg<u64>>)>,
         seed: u64,
-        behavior: crate::harness::Behavior<RbcMsg<u64>>,
-    ) -> Vec<Option<u64>> {
-        let mut states: Vec<RbcState<u64>> = (0..n).map(|_| RbcState::new(n, t, dealer)).collect();
-        let mut delivered: Vec<Option<u64>> = vec![None; n];
-        let mut net = Net::new(n, byz.to_vec(), seed, behavior);
-        if !byz.contains(&dealer) {
-            let batch = states[dealer].start(42);
-            net.push_batch(dealer, batch);
-        } else {
-            // Byzantine dealer behaviour is injected via `behavior` on a
-            // dummy kick (handled by the test).
-        }
-        net.run(|to, from, msg, net| {
-            let (out, dv) = states[to].on_message(from, msg);
-            if let Some(v) = dv {
-                delivered[to] = Some(v);
-            }
-            net.push_batch(to, out);
-        });
-        delivered
+    ) -> (Outcome, Vec<Option<u64>>) {
+        let machines: Vec<RbcPeer<u64>> = (0..n)
+            .map(|me| RbcPeer::new(n, t, dealer, me, (me == dealer).then_some(42)))
+            .collect();
+        run_machines(
+            machines,
+            byz,
+            SchedulerKind::Random.build().as_mut(),
+            seed,
+            200_000,
+        )
+    }
+
+    fn silent() -> ByzantineProcess<RbcMsg<u64>> {
+        ByzantineProcess::new(Box::new(|_, _, _| Vec::new()))
     }
 
     #[test]
     fn honest_dealer_everyone_delivers() {
         for seed in 0..5 {
-            let delivered = run_rbc(4, 1, 0, &[], seed, Box::new(|_, _, _| Vec::new()));
+            let (_, delivered) = run_rbc(4, 1, 0, Vec::new(), seed);
             for d in &delivered {
                 assert_eq!(*d, Some(42));
             }
@@ -210,7 +208,7 @@ mod tests {
     #[test]
     fn silent_byzantine_player_does_not_block() {
         for seed in 0..5 {
-            let delivered = run_rbc(4, 1, 0, &[3], seed, Box::new(|_, _, _| Vec::new()));
+            let (_, delivered) = run_rbc(4, 1, 0, vec![(3, silent())], seed);
             for (i, d) in delivered.iter().enumerate() {
                 if i != 3 {
                     assert_eq!(*d, Some(42), "player {i}");
@@ -224,13 +222,13 @@ mod tests {
         // Byzantine player 3 echoes a different value to everyone, but with
         // n=4, t=1 the echo threshold is 3: one liar cannot reach it for a
         // fake value, and the true value still gathers 3 echoes.
-        let behavior: crate::harness::Behavior<RbcMsg<u64>> =
-            Box::new(|_me, _from, msg| match msg {
-                RbcMsg::Init(_) => (0..4).map(|p| (p, RbcMsg::Echo(999))).collect(),
-                _ => Vec::new(),
-            });
+        let behavior: Behavior<RbcMsg<u64>> = Box::new(|_me, _from, msg| match msg {
+            RbcMsg::Init(_) => (0..4).map(|p| (p, RbcMsg::Echo(999))).collect(),
+            _ => Vec::new(),
+        });
         for seed in 0..5 {
-            let delivered = run_rbc(4, 1, 0, &[3], seed, behavior.clone_box());
+            let byz = ByzantineProcess::new(behavior.clone_box());
+            let (_, delivered) = run_rbc(4, 1, 0, vec![(3, byz)], seed);
             for (i, d) in delivered.iter().enumerate() {
                 if i != 3 {
                     assert_eq!(*d, Some(42), "player {i} seed {seed}");
@@ -252,23 +250,14 @@ mod tests {
         // Byzantine dealer sends Init(1) to {0,1} and Init(2) to {2}. With
         // n=4,t=1 honest players may deliver nothing, but they must never
         // deliver *different* values.
-        let n = 4;
-        let behavior: crate::harness::Behavior<RbcMsg<u64>> = Box::new(|_, _, _| Vec::new());
         for seed in 0..10 {
-            let mut states: Vec<RbcState<u64>> = (0..n).map(|_| RbcState::new(n, 1, 3)).collect();
-            let mut delivered: Vec<Option<u64>> = vec![None; n];
-            let mut net = Net::new(n, vec![3], seed, behavior.clone_box());
             // Dealer 3 equivocates:
-            net.push(3, 0, RbcMsg::Init(1));
-            net.push(3, 1, RbcMsg::Init(1));
-            net.push(3, 2, RbcMsg::Init(2));
-            net.run(|to, from, msg, net| {
-                let (out, dv) = states[to].on_message(from, msg);
-                if let Some(v) = dv {
-                    delivered[to] = Some(v);
-                }
-                net.push_batch(to, out);
-            });
+            let dealer = silent().with_kickoff(vec![
+                (0, RbcMsg::Init(1)),
+                (1, RbcMsg::Init(1)),
+                (2, RbcMsg::Init(2)),
+            ]);
+            let (_, delivered) = run_rbc(4, 1, 3, vec![(3, dealer)], seed);
             let vals: Vec<u64> = delivered.iter().take(3).flatten().copied().collect();
             // All delivered values agree.
             assert!(
@@ -310,17 +299,8 @@ mod tests {
         // n players: 1 init broadcast + ≤ n echo broadcasts + ≤ n ready
         // broadcasts → O(n^2) point-to-point messages.
         let n = 7;
-        let t = 2;
-        let mut states: Vec<RbcState<u64>> = (0..n).map(|_| RbcState::new(n, t, 0)).collect();
-        let mut count = 0u64;
-        let behavior: crate::harness::Behavior<RbcMsg<u64>> = Box::new(|_, _, _| Vec::new());
-        let mut net = Net::new(n, vec![], 0, behavior);
-        net.push_batch(0, states[0].start(5));
-        net.run(|to, from, msg, net| {
-            count += 1;
-            let (out, _) = states[to].on_message(from, msg);
-            net.push_batch(to, out);
-        });
+        let (outcome, _) = run_rbc(n, 2, 0, Vec::new(), 0);
+        let count = outcome.messages_sent;
         // (1 + n + n) broadcasts, each n messages.
         assert!(count <= ((1 + 2 * n) * n) as u64, "count={count}");
         assert!(count >= (n * n) as u64, "count={count}");

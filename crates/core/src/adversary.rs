@@ -33,6 +33,7 @@
 
 use crate::deviations::Behavior;
 use crate::mediator::MedMsg;
+use crate::report::json_escape;
 use crate::scenario::{BatchRun, CheapTalkPlan, MediatorPlan};
 use mediator_field::Fp;
 use mediator_games::solution::subsets_up_to;
@@ -1018,9 +1019,6 @@ impl ConformanceReport {
     /// `CONFORMANCE.json` CI artifact; the offline serde shim does not
     /// serialize).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         fn ci(c: &ConfidenceInterval) -> String {
             format!(
                 "{{ \"mean\": {:.6}, \"lo\": {:.6}, \"hi\": {:.6}, \"samples\": {} }}",
@@ -1041,10 +1039,10 @@ impl ConformanceReport {
             ),
             ConformanceVerdict::Violated(w) => format!(
                 "{{ \"kind\": \"violated\", \"strategy\": \"{}\", \"coalition\": {:?}, \"gain\": {}, \"scheduler\": \"{}\", \"seed\": {} }}",
-                esc(&w.strategy),
+                json_escape(&w.strategy),
                 w.coalition,
                 ci(&w.gain),
-                esc(&format!("{:?}", w.kind)),
+                json_escape(&format!("{:?}", w.kind)),
                 w.seed
             ),
             ConformanceVerdict::Inconclusive {
@@ -1053,7 +1051,7 @@ impl ConformanceReport {
                 gain,
             } => format!(
                 "{{ \"kind\": \"inconclusive\", \"strategy\": \"{}\", \"coalition\": {:?}, \"gain\": {} }}",
-                esc(strategy),
+                json_escape(strategy),
                 coalition,
                 ci(gain)
             ),
@@ -1070,7 +1068,7 @@ impl ConformanceReport {
         for (i, c) in self.cells.iter().enumerate() {
             out.push_str(&format!(
                 "    {{ \"strategy\": \"{}\", \"coalition\": {:?}, \"gain\": {}, \"harm\": {} }}{}\n",
-                esc(&c.strategy),
+                json_escape(&c.strategy),
                 c.coalition,
                 ci(&c.gain),
                 ci(&c.harm),

@@ -51,6 +51,7 @@ use mediator_games::BayesianGame;
 use mediator_sim::SchedulerKind;
 
 use crate::adversary::{Conformance, ConformanceReport, ConformanceVerdict, DeviationWitness};
+use crate::report::json_escape;
 use crate::scenario::{CheapTalkPlan, MediatorPlan, Scenario, ScenarioError, Theorem};
 
 /// The ⊥ action of the §6.4 counterexample game, as the mediator's action
@@ -729,9 +730,6 @@ impl FrontierAtlas {
     /// exactly (`f64::to_bits` hex) — the representation the sharded-vs-
     /// local differential diffs byte for byte.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         fn jf(x: f64) -> String {
             format!(
                 "{{ \"val\": {:.6}, \"bits\": \"0x{:016x}\" }}",
@@ -744,7 +742,7 @@ impl FrontierAtlas {
         out.push_str(&format!(
             "  \"spec\": {{ \"name\": \"{}\", \"ct_seeds\": {}, \"med_seeds\": {}, \
              \"eps_upper\": {}, \"eps_lower\": {}, \"kappa\": {}, \"inconclusive_budget\": {},\n",
-            esc(&self.spec.name),
+            json_escape(&self.spec.name),
             self.spec.ct_seeds,
             self.spec.med_seeds,
             jf(self.spec.eps_upper),
@@ -758,7 +756,7 @@ impl FrontierAtlas {
                 "      {{ \"theorem\": \"{}\", \"bound\": \"{}\", \"k\": [{}, {}], \
                  \"t\": [{}, {}], \"offsets\": [{}, {}] }}{}\n",
                 b.theorem.name(),
-                esc(b.theorem.bound()),
+                json_escape(b.theorem.bound()),
                 b.k.0,
                 b.k.1,
                 b.t.0,
@@ -780,7 +778,7 @@ impl FrontierAtlas {
                     "{{ \"strategy\": \"{}\", \"coalition\": {:?}, \"scheduler\": \"{:?}\", \
                      \"seed\": {}, \"unit\": {}, \"run\": {}, \"gain\": {}, \
                      \"baseline_profile\": {:?}, \"deviant_profile\": {:?} }}",
-                    esc(&w.strategy),
+                    json_escape(&w.strategy),
                     w.coalition,
                     w.kind,
                     w.seed,
@@ -801,20 +799,20 @@ impl FrontierAtlas {
                  \"hatch_build\": \"{}\", \"experiment\": \"{}\",\n      \"class\": \"{}\", \
                  \"max_gain\": {}, \"sweep_cells\": {}, \"note\": \"{}\",\n      \
                  \"witness\": {} }}{}\n",
-                esc(&r.cell.key()),
+                json_escape(&r.cell.key()),
                 r.cell.theorem.name(),
                 r.cell.n,
                 r.cell.k,
                 r.cell.t,
                 r.cell.bound(),
                 r.cell.admits(),
-                esc(&r.evidence.strict_build),
-                esc(&r.evidence.hatch_build),
+                json_escape(&r.evidence.strict_build),
+                json_escape(&r.evidence.hatch_build),
                 r.experiment,
                 r.class.name(),
                 max_gain,
                 r.sweep_cells,
-                esc(&r.note),
+                json_escape(&r.note),
                 witness,
                 if i + 1 == self.results.len() { "" } else { "," }
             ));
@@ -835,7 +833,7 @@ impl FrontierAtlas {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", esc(m)));
+            out.push_str(&format!("\"{}\"", json_escape(m)));
         }
         out.push_str("] }\n}\n");
         out

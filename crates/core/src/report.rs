@@ -1,6 +1,6 @@
-//! Plain-text tables for the experiment harness.
+//! Plain-text tables and JSON string escaping for the experiment harness.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A printable experiment table (rendered as GitHub-flavoured markdown).
 #[derive(Debug, Clone)]
@@ -78,6 +78,25 @@ pub fn check(b: bool) -> String {
     }
 }
 
+/// Escapes `s` for use inside a JSON string literal: `"` and `\` are
+/// backslash-escaped and every control character becomes `\u00XX`. The
+/// one escaper behind every hand-rolled JSON artifact (the offline serde
+/// shim does not serialize).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,5 +124,13 @@ mod tests {
         assert_eq!(f4(1.0 / 3.0), "0.3333");
         assert_eq!(check(true), "✓");
         assert_eq!(check(false), "✗");
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_controls() {
+        assert_eq!(
+            json_escape("a\"b\\c\nd\u{1}é"),
+            "a\\\"b\\\\c\\u000ad\\u0001é"
+        );
     }
 }

@@ -784,13 +784,47 @@ impl MpcEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mediator_bcast::harness::{Behavior, Net};
     use mediator_circuits::{catalog, CircuitBuilder};
+    use mediator_sim::sansio::{run_machines, Behavior, ByzantineProcess, SansIo};
+    use mediator_sim::SchedulerKind;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    /// Runs `n` engines to completion; `byz` players never start and behave
-    /// per `behavior`. Returns final statuses and deliveries.
+    /// One engine as a sans-IO peer whose output is its status after every
+    /// delivery, so a run reports each player's final [`MpcStatus`]. (The
+    /// `MpcDriver` event stream cannot stand in: a `CoreDecided` event
+    /// shadows a `Done` reached in the same step.)
+    struct Player {
+        engine: MpcEngine,
+        inputs: Option<Vec<Fp>>,
+    }
+
+    impl SansIo for Player {
+        type Msg = MpcMsg;
+        type Output = MpcStatus;
+
+        fn on_start(&mut self, rng: &mut StdRng) -> Vec<Outgoing<MpcMsg>> {
+            let inputs = self.inputs.take().expect("started once");
+            self.engine.start(&inputs, rng)
+        }
+
+        fn on_message(
+            &mut self,
+            from: usize,
+            msg: MpcMsg,
+            _rng: &mut StdRng,
+        ) -> (Vec<Outgoing<MpcMsg>>, Option<MpcStatus>) {
+            let (out, _ev) = self.engine.on_message(from, msg);
+            (out, Some(self.engine.status().clone()))
+        }
+
+        fn is_done(&self) -> bool {
+            !matches!(self.engine.status(), MpcStatus::Running)
+        }
+    }
+
+    /// Runs `n` engines under the random scheduler; `byz` players never
+    /// start and behave per `behavior`. Returns final statuses and
+    /// deliveries.
     fn run_mpc(
         cfg: MpcConfig,
         circuit: Circuit,
@@ -799,28 +833,32 @@ mod tests {
         seed: u64,
         behavior: Behavior<MpcMsg>,
     ) -> (Vec<MpcStatus>, u64) {
-        let n = cfg.n;
         let circuit = Arc::new(circuit);
         let cfg = Arc::new(cfg); // shared by all n engines
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let mut engines: Vec<MpcEngine> = (0..n)
-            .map(|i| MpcEngine::new(Arc::clone(&cfg), circuit.clone(), i))
+        let players: Vec<Player> = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, inputs)| Player {
+                engine: MpcEngine::new(Arc::clone(&cfg), circuit.clone(), i),
+                inputs: Some(inputs),
+            })
             .collect();
-        let mut net = Net::new(n, byz.to_vec(), seed, behavior);
-        for i in 0..n {
-            if !byz.contains(&i) {
-                let batch = engines[i].start(&inputs[i], &mut rng);
-                net.push_batch(i, batch);
-            }
-        }
-        net.run(|to, from, msg, sink| {
-            let (out, _ev) = engines[to].on_message(from, msg);
-            sink.push_batch(to, out);
-        });
-        (
-            engines.iter().map(|e| e.status().clone()).collect(),
-            net.delivered,
-        )
+        let byz = byz
+            .iter()
+            .map(|&p| (p, ByzantineProcess::new(behavior.clone_box())))
+            .collect();
+        let (outcome, statuses) = run_machines(
+            players,
+            byz,
+            SchedulerKind::Random.build().as_mut(),
+            seed,
+            2_000_000,
+        );
+        let statuses = statuses
+            .into_iter()
+            .map(|s| s.unwrap_or(MpcStatus::Running))
+            .collect();
+        (statuses, outcome.messages_delivered)
     }
 
     fn no_op() -> Behavior<MpcMsg> {

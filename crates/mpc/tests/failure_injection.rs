@@ -3,9 +3,8 @@
 //!
 //! Runs under the full `mediator-sim` `World` through [`MpcDriver`] and the
 //! shared sans-IO adapter, so every attack is exercised against real
-//! adversarial schedulers. Byzantine dealings that used to be pre-seeded
-//! into the legacy `Net` queue are now the byzantine player's kickoff
-//! batch. Assertions are stated against the asynchronous guarantee (the
+//! adversarial schedulers. Byzantine dealings are the byzantine player's
+//! kickoff batch. Assertions are stated against the asynchronous guarantee (the
 //! agreed core has ≥ n − f members, excluded inputs default), which holds
 //! under *every* legal schedule, not just uniform-random delivery.
 

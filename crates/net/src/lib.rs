@@ -23,8 +23,7 @@
 //!   player-id)`, drives every hosted session as a state machine over
 //!   per-connection read/write buffers, detects quiescence, surfaces
 //!   outcomes ([`Service::run_many`] drives thousands of sessions
-//!   concurrently on one core; `Service::host_threaded` keeps the PR 5
-//!   thread-per-session engine for differential testing).
+//!   concurrently on one core). The reactor is the service's only engine.
 //! * [`client`] — the thin relay endpoint ([`Client`]): the network leg
 //!   of every message addressed to its players.
 //! * [`auth`] — authenticated frames: per-pair keyed MACs (hand-rolled
@@ -116,7 +115,7 @@ pub use shard::{
     coordinate, run_worker, worker_mem, worker_tcp, ShardConfig, ShardFrame, ShardListener,
     ShardLog, ShardedSweep,
 };
-pub use tamper::{tamper_relay, DriverMode, TamperPlan, TamperReport, TransportKind, WireTactic};
+pub use tamper::{tamper_relay, TamperPlan, TamperReport, TransportKind, WireTactic};
 pub use transport::{
     duplex, pipe, ConnPair, FrameRx, FrameTx, FramedRx, FramedTx, MemTransport, PipeReader,
     PipeWriter, TcpTransport,

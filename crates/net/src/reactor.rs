@@ -7,13 +7,12 @@
 //!
 //! * **Connections** own a read buffer (incremental frame parsing — a
 //!   partial frame simply waits for more bytes, so a stalled peer cannot
-//!   block anyone else) and a shared write buffer ([`ConnOut`]) that any
-//!   thread may append frames to; the loop flushes it when the transport
+//!   block anyone else) and a write buffer ([`ConnOut`]) that session
+//!   machines append frames to; the loop flushes it when the transport
 //!   signals writable.
-//! * **Sessions** run as state machines ([`SessionSm`]) executing exactly
-//!   the threaded pump's ship → step → deliver → quiesce loop, but
-//!   returning to the loop instead of blocking; timeouts become timer
-//!   entries instead of `recv_timeout` calls.
+//! * **Sessions** run as state machines ([`SessionSm`]) executing the
+//!   ship → step → deliver → quiesce loop, returning to the readiness loop
+//!   instead of blocking; timeouts are timer entries.
 //! * **Timers** live in a lazily-revalidated heap: idle deadlines are
 //!   *updated* in place as events arrive and only re-pushed when a stale
 //!   entry fires, so a session's thousands of frames cost one heap entry,
@@ -32,14 +31,13 @@ use crate::readiness::{
     ConnIo, Event, Interest, NbListener, Poller, TryRead, TryWrite, Waker, ACCEPT_TOKEN,
 };
 use crate::service::{broadcast, finish_recorded, DeliveryOrder, ServiceConfig};
-use crate::service::{ship, Driver, FlightState, Inbound, SessionEntry, Shared};
+use crate::service::{ship, FlightState, Inbound, SessionEntry, Shared};
 use crate::wire::Wire;
 use mediator_sim::{Outcome, Session, SessionStatus, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -68,10 +66,9 @@ struct OutBuf {
     closed: bool,
 }
 
-/// A connection's outbound side, shareable across threads: threaded pumps
-/// and the reactor's own session machines append length-prefixed frames;
-/// the reactor flushes when the transport can take them. Appending never
-/// blocks on the network — backpressure is the buffer growing, which for
+/// A connection's outbound side: the reactor's session machines append
+/// length-prefixed frames; the reactor flushes when the transport can take
+/// them. Appending never blocks on the network — backpressure is the buffer growing, which for
 /// this protocol is bounded by the sessions' own in-flight accounting.
 pub(crate) struct ConnOut {
     buf: Mutex<OutBuf>,
@@ -135,16 +132,16 @@ enum SmPhase {
         attached: Vec<bool>,
         nattached: usize,
     },
-    /// The pump loop proper.
+    /// The ship / step / deliver / quiesce loop proper.
     Running,
 }
 
-/// One hosted session as a state machine: the exact ship / step / deliver
-/// / quiesce loop of the threaded `pump`, with every blocking receive
-/// replaced by "return to the loop and wait for events".
+/// One hosted session as a state machine: the ship / step / deliver /
+/// quiesce loop described in the `service` module docs, where waiting for
+/// the network means returning to the readiness loop.
 pub(crate) struct SessionSm<M: Wire + Send> {
     sid: SessionId,
-    entry: Arc<SessionEntry<M>>,
+    entry: Arc<SessionEntry>,
     session: Option<Session<M>>,
     flight: FlightState<M>,
     depth: usize,
@@ -165,7 +162,7 @@ impl<M: Wire + Send> SessionSm<M> {
     fn new(
         sid: SessionId,
         session: Session<M>,
-        entry: Arc<SessionEntry<M>>,
+        entry: Arc<SessionEntry>,
         result: Sender<Result<Outcome, NetError>>,
         cfg: &ServiceConfig,
     ) -> Self {
@@ -201,8 +198,8 @@ impl<M: Wire + Send> SessionSm<M> {
     }
 
     /// Runs until the session either blocks on the network (`None`) or
-    /// reaches its result. Mirrors the threaded `pump` arm for arm; the
-    /// parity and differential suites pin the correspondence.
+    /// reaches its result. The parity suites check its outcomes against
+    /// in-process `World` runs.
     fn run(&mut self) -> Option<Result<Outcome, NetError>> {
         let expected = self.entry.expected;
         // Attach barrier: every world process needs a relay before the
@@ -361,7 +358,7 @@ pub(crate) enum Command<M: Wire + Send> {
     /// need not be `Send`-friendly beyond the closure itself).
     Host {
         id: SessionId,
-        entry: Arc<SessionEntry<M>>,
+        entry: Arc<SessionEntry>,
         open: Box<dyn FnOnce() -> Session<M> + Send>,
         result: Sender<Result<Outcome, NetError>>,
     },
@@ -389,7 +386,7 @@ enum Timer {
 // ---------------------------------------------------------------------------
 
 pub(crate) struct Reactor<M: Wire + Send + 'static> {
-    shared: Arc<Shared<M>>,
+    shared: Arc<Shared>,
     listener: Box<dyn NbListener>,
     listener_fd: Option<i32>,
     poller: Poller,
@@ -411,7 +408,7 @@ pub(crate) struct Reactor<M: Wire + Send + 'static> {
 
 impl<M: Wire + Send + 'static> Reactor<M> {
     pub(crate) fn new(
-        shared: Arc<Shared<M>>,
+        shared: Arc<Shared>,
         listener: Box<dyn NbListener>,
         poller: Poller,
         commands: Arc<Mutex<VecDeque<Command<M>>>>,
@@ -521,16 +518,13 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         }
     }
 
-    /// True when no threaded pump is still running (they hold the final
-    /// frames the drain must flush).
+    /// True when no hosted session is still registered.
     fn quiet(&self) -> bool {
-        self.shared.live_pumps.load(Ordering::Acquire) == 0
-            && self
-                .shared
-                .sessions
-                .lock()
-                .expect("sessions poisoned")
-                .is_empty()
+        self.shared
+            .sessions
+            .lock()
+            .expect("sessions poisoned")
+            .is_empty()
     }
 
     // -- commands / registry ------------------------------------------------
@@ -726,7 +720,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             }
         }
         match &result {
-            Ok(outcome) => broadcast(
+            Ok(outcome) => broadcast::<M>(
                 &sm.entry,
                 &Frame::Outcome {
                     session: sid,
@@ -735,37 +729,24 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             ),
             // A failed session will never yield an outcome: tell the
             // relays so none of them blocks forever.
-            Err(_) => broadcast(&sm.entry, &Frame::Abort { session: sid }),
+            Err(_) => broadcast::<M>(&sm.entry, &Frame::Abort { session: sid }),
         }
         let _ = sm.result.send(result);
         self.staged.remove(&sid);
     }
 
-    /// Routes an inbound event to whatever drives the session.
-    fn deliver(
-        &mut self,
-        entry: &SessionEntry<M>,
-        sid: SessionId,
-        ev: Inbound<M>,
-        runnable: &mut HashSet<SessionId>,
-    ) {
-        match &entry.driver {
-            Driver::Threaded(tx) => {
-                let _ = tx.send(ev);
+    /// Queues an inbound event on the session's state machine (or stages
+    /// it until the machine is built).
+    fn deliver(&mut self, sid: SessionId, ev: Inbound<M>, runnable: &mut HashSet<SessionId>) {
+        if let Some(sm) = self.sms.get_mut(&sid) {
+            sm.queue.push_back(ev);
+            // Every absorbed event restarts the idle window.
+            if sm.idle_deadline.is_some() {
+                sm.idle_deadline = Some(Instant::now() + self.shared.cfg.idle_timeout);
             }
-            Driver::Reactor => {
-                if let Some(sm) = self.sms.get_mut(&sid) {
-                    sm.queue.push_back(ev);
-                    // Every absorbed event restarts the idle window, the
-                    // way `recv_timeout` restarted per received event.
-                    if sm.idle_deadline.is_some() {
-                        sm.idle_deadline = Some(Instant::now() + self.shared.cfg.idle_timeout);
-                    }
-                    runnable.insert(sid);
-                } else {
-                    self.staged.entry(sid).or_default().push(ev);
-                }
-            }
+            runnable.insert(sid);
+        } else {
+            self.staged.entry(sid).or_default().push(ev);
         }
     }
 
@@ -933,8 +914,8 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     }
 
     /// A tampering verdict for `session` on `conn`: tell the offending
-    /// connection (typed `Reject`), then hand the violation to whatever
-    /// drives the session, which aborts it with [`NetError::AuthFailure`].
+    /// connection (typed `Reject`), then hand the violation to the
+    /// session's state machine, which aborts it with [`NetError::AuthFailure`].
     /// The connection itself survives — its other sessions are unharmed.
     fn tampered(
         &mut self,
@@ -947,9 +928,8 @@ impl<M: Wire + Send + 'static> Reactor<M> {
             session,
             reason: RejectReason::TamperDetected,
         });
-        if let Some(entry) = self.shared.lookup(session) {
+        if self.shared.lookup(session).is_some() {
             self.deliver(
-                &entry,
                 session,
                 Inbound::Tampered {
                     conn: conn.id,
@@ -973,7 +953,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     match claim_route(&entry, player, &conn.out) {
                         None => {
                             conn.claimed.push((session, player));
-                            self.deliver(&entry, session, Inbound::Attached { player }, runnable);
+                            self.deliver(session, Inbound::Attached { player }, runnable);
                         }
                         Some(reason) => {
                             let _ = conn.out.send_frame::<M>(&Frame::Reject { session, reason });
@@ -1025,7 +1005,6 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                             .map(|r| Arc::ptr_eq(r, &conn.out))
                             .unwrap_or(false);
                         self.deliver(
-                            &entry,
                             session,
                             Inbound::Msg {
                                 src,
@@ -1058,7 +1037,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
     /// path, where the conn sits in the slab).
     fn attach_player(
         &mut self,
-        entry: &Arc<SessionEntry<M>>,
+        entry: &Arc<SessionEntry>,
         sid: SessionId,
         player: usize,
         slot: usize,
@@ -1070,7 +1049,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         match claim_route(entry, player, &conn.out) {
             None => {
                 conn.claimed.push((sid, player));
-                self.deliver(entry, sid, Inbound::Attached { player }, runnable);
+                self.deliver(sid, Inbound::Attached { player }, runnable);
             }
             Some(reason) => {
                 let _ = conn.out.send_frame::<M>(&Frame::Reject {
@@ -1113,8 +1092,8 @@ impl<M: Wire + Send + 'static> Reactor<M> {
         }
     }
 
-    /// Tears a connection down: closes the shared out-buffer (pumps then
-    /// see `PeerVanished` at `ship`), releases claimed routes, and tells
+    /// Tears a connection down: closes the shared out-buffer (sessions
+    /// then see `PeerVanished` at `ship`), releases claimed routes, and tells
     /// each affected session its relay is gone.
     fn kill_conn(&mut self, slot: usize, mut conn: Conn, runnable: &mut HashSet<SessionId>) {
         conn.out.close();
@@ -1132,7 +1111,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
                     mine
                 };
                 if mine {
-                    self.deliver(&entry, sid, Inbound::PeerGone { player }, runnable);
+                    self.deliver(sid, Inbound::PeerGone { player }, runnable);
                 }
             }
         }
@@ -1144,11 +1123,7 @@ impl<M: Wire + Send + 'static> Reactor<M> {
 /// Claims `(player → out)` in the entry's route table, reporting the
 /// reject reason if the claim is impossible. Shared by the direct-attach
 /// and parked-attach paths so they cannot drift.
-fn claim_route<M>(
-    entry: &SessionEntry<M>,
-    player: usize,
-    out: &Arc<ConnOut>,
-) -> Option<RejectReason> {
+fn claim_route(entry: &SessionEntry, player: usize, out: &Arc<ConnOut>) -> Option<RejectReason> {
     if player >= entry.expected {
         return Some(RejectReason::PlayerOutOfRange);
     }

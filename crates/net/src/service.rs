@@ -29,16 +29,15 @@
 //! *kinds* as the in-process runs — not the same byte-identical trace,
 //! which no theorem promises (see DESIGN.md §9 and the parity suite).
 //!
-//! Quiescence detection is the pump's half of the bargain: the session has
-//! terminated only when the local plane is drained **and** no shipped
-//! frame is still on the wire (`in_flight == 0`) **and** the delivery
-//! buffer is empty. Only then is the [`Session`]'s own termination verdict
-//! (quiescent / deadlocked / budget-exhausted) trustworthy.
+//! Quiescence detection is the session driver's half of the bargain: the
+//! session has terminated only when the local plane is drained **and** no
+//! shipped frame is still on the wire (`in_flight == 0`) **and** the
+//! delivery buffer is empty. Only then is the [`Session`]'s own termination
+//! verdict (quiescent / deadlocked / budget-exhausted) trustworthy.
 //!
-//! [`Service::host`] drives the session on the reactor; the PR 5
-//! thread-per-session engine survives as [`Service::host_threaded`], kept
-//! deliberately so the differential suite can run the same plans through
-//! both drivers and pin outcome-kind and failure-owner agreement.
+//! [`Service::host`], [`Service::host_plan`] and [`Service::run_many`] all
+//! hand their sessions to the reactor. Its outcomes are checked against the
+//! in-process `World` runs of the same plans (the parity suites).
 
 use crate::auth::{AuthKey, AuthTag, TamperKind};
 use crate::client::Client;
@@ -49,17 +48,14 @@ use crate::transport::{ConnPair, MemTransport, TcpTransport};
 use crate::wire::Wire;
 use mediator_core::scenario::SessionPlan;
 use mediator_sim::SchedulerKind;
-use mediator_sim::{Envelope, Outcome, RunMeta, Session, SessionStatus, TraceSink};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mediator_sim::{Envelope, Outcome, RunMeta, Session, TraceSink};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How a session pump turns frame arrivals into deliveries.
+/// How a hosted session turns frame arrivals into deliveries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryOrder {
     /// Deliver in arrival order (the network's own interleaving — already
@@ -81,7 +77,7 @@ pub enum DeliveryOrder {
 /// Tunables for a [`Service`].
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// How long a pump waits for in-flight frames before declaring the
+    /// How long a session waits for in-flight frames before declaring the
     /// network dead ([`NetError::IdleTimeout`]).
     pub idle_timeout: Duration,
     /// How long a hosted session waits for all players to attach.
@@ -90,7 +86,7 @@ pub struct ServiceConfig {
     /// before rejecting (smooths the host/connect race; wakeup-driven,
     /// so a host arriving mid-grace attaches immediately).
     pub attach_grace: Duration,
-    /// The pump's delivery policy.
+    /// The session's delivery policy.
     pub delivery: DeliveryOrder,
     /// When set, every shipped `Msg` frame is sealed with a per-pair MAC
     /// under this master key and verified on return (see the `auth`
@@ -100,8 +96,8 @@ pub struct ServiceConfig {
     /// plane did before authenticated frames existed.
     pub auth: Option<AuthKey>,
     /// When set, every session that reaches an [`Outcome`] is handed to
-    /// this sink exactly once, by whichever driver completed it (the
-    /// reactor thread or a pump thread — sinks must be `Sync`). Failed
+    /// this sink exactly once, on the reactor thread (the sink is shared
+    /// with the caller, so it must be `Sync`). Failed
     /// sessions produce no outcome and are not recorded. Plan-hosted
     /// sessions ([`Service::host_plan`]) record their `(kind, seed)` cell
     /// so a store-backed sink can replay them; closure-hosted sessions
@@ -149,7 +145,7 @@ impl ServiceConfig {
     }
 }
 
-/// What the reactor feeds a session driver.
+/// What the reactor feeds a hosted session.
 pub(crate) enum Inbound<M> {
     /// A relay attached for `player`.
     Attached { player: usize },
@@ -180,37 +176,26 @@ pub(crate) enum Inbound<M> {
     Tampered { conn: u64, kind: TamperKind },
 }
 
-/// What drives a hosted session: the reactor's state machine, or a
-/// dedicated pump thread (the PR 5 engine, kept for differential runs).
-pub(crate) enum Driver<M> {
-    Threaded(Sender<Inbound<M>>),
-    Reactor,
-}
-
-/// Per-hosted-session routing state, shared between the reactor (which
-/// fills it as relays attach) and whatever drives the session (which
-/// ships through it).
-pub(crate) struct SessionEntry<M> {
-    pub(crate) driver: Driver<M>,
+/// Per-hosted-session routing state, shared between the reactor's
+/// connection side (which fills it as relays attach) and the session's
+/// state machine (which ships through it).
+pub(crate) struct SessionEntry {
     pub(crate) routes: Mutex<HashMap<usize, Arc<ConnOut>>>,
     pub(crate) expected: usize,
-    /// What the driver knew about the run at host time — handed to the
+    /// What the host knew about the run at host time — handed to the
     /// configured [`TraceSink`] alongside the outcome. Plan-hosted
     /// sessions carry their `(kind, seed)` cell; closure-hosted sessions
     /// carry the routing id alone.
     pub(crate) meta: RunMeta,
 }
 
-pub(crate) struct Shared<M> {
-    pub(crate) sessions: Mutex<HashMap<SessionId, Arc<SessionEntry<M>>>>,
+pub(crate) struct Shared {
+    pub(crate) sessions: Mutex<HashMap<SessionId, Arc<SessionEntry>>>,
     pub(crate) cfg: ServiceConfig,
-    /// Threaded pumps still running (the reactor drains only once this
-    /// hits zero *and* their final frames are flushed).
-    pub(crate) live_pumps: AtomicUsize,
 }
 
-impl<M> Shared<M> {
-    pub(crate) fn lookup(&self, id: SessionId) -> Option<Arc<SessionEntry<M>>> {
+impl Shared {
+    pub(crate) fn lookup(&self, id: SessionId) -> Option<Arc<SessionEntry>> {
         self.sessions
             .lock()
             .expect("sessions poisoned")
@@ -242,7 +227,7 @@ impl SessionHandle {
 /// connection and every hosted session (thousands of concurrent sessions
 /// on one core — see the `service_*` BENCH entries).
 pub struct Service<M: Wire + Send + 'static> {
-    shared: Arc<Shared<M>>,
+    shared: Arc<Shared>,
     commands: Arc<Mutex<VecDeque<Command<M>>>>,
     waker: Arc<Waker>,
     reactor: Option<JoinHandle<()>>,
@@ -259,7 +244,6 @@ impl<M: Wire + Send + 'static> Service<M> {
         let shared = Arc::new(Shared {
             sessions: Mutex::new(HashMap::new()),
             cfg,
-            live_pumps: AtomicUsize::new(0),
         });
         let commands: Arc<Mutex<VecDeque<Command<M>>>> = Arc::new(Mutex::new(VecDeque::new()));
         let poller = Poller::new().expect("reactor poller");
@@ -307,7 +291,6 @@ impl<M: Wire + Send + 'static> Service<M> {
     ) -> SessionHandle {
         let (result_tx, result_rx) = mpsc::channel();
         let entry = Arc::new(SessionEntry {
-            driver: Driver::Reactor,
             routes: Mutex::new(HashMap::new()),
             expected: processes,
             meta,
@@ -328,88 +311,13 @@ impl<M: Wire + Send + 'static> Service<M> {
         SessionHandle { id, rx: result_rx }
     }
 
-    /// Hosts a session on a dedicated pump thread — the PR 5 engine,
-    /// kept so the differential suite can pin reactor/threaded agreement
-    /// on outcome kinds and failure owners. Same contract as
-    /// [`Service::host`].
-    pub fn host_threaded(
-        &self,
-        id: SessionId,
-        processes: usize,
-        open: impl FnOnce() -> Session<M> + Send + 'static,
-    ) -> SessionHandle {
-        self.host_threaded_with_meta(id, processes, open, RunMeta::bare(id))
-    }
-
-    fn host_threaded_with_meta(
-        &self,
-        id: SessionId,
-        processes: usize,
-        open: impl FnOnce() -> Session<M> + Send + 'static,
-        meta: RunMeta,
-    ) -> SessionHandle {
-        let (result_tx, result_rx) = mpsc::channel();
-        let (inbox_tx, inbox_rx) = mpsc::channel();
-        let entry = Arc::new(SessionEntry {
-            driver: Driver::Threaded(inbox_tx),
-            routes: Mutex::new(HashMap::new()),
-            expected: processes,
-            meta,
-        });
-        if !self.register(id, &entry, &result_tx) {
-            return SessionHandle { id, rx: result_rx };
-        }
-        self.shared.live_pumps.fetch_add(1, Ordering::AcqRel);
-        let shared = Arc::clone(&self.shared);
-        let waker = Arc::clone(&self.waker);
-        thread::spawn(move || {
-            let cfg = shared.cfg.clone();
-            let result = pump(id, open().with_session_id(id), &entry, inbox_rx, &cfg);
-            // Unregister first: frames for a finished session are dead.
-            // Guarded by identity (belt to the duplicate-id braces in
-            // `register`): only this pump's own entry may be removed.
-            {
-                let mut sessions = shared.sessions.lock().expect("sessions poisoned");
-                if sessions
-                    .get(&id)
-                    .map(|e| Arc::ptr_eq(e, &entry))
-                    .unwrap_or(false)
-                {
-                    sessions.remove(&id);
-                }
-            }
-            match &result {
-                Ok(outcome) => {
-                    broadcast(
-                        &entry,
-                        &Frame::Outcome {
-                            session: id,
-                            summary: OutcomeSummary::from(outcome),
-                        },
-                    );
-                }
-                // A failed session will never yield an outcome: tell the
-                // relays so none of them blocks forever.
-                Err(_) => broadcast(&entry, &Frame::Abort { session: id }),
-            }
-            let _ = result_tx.send(result);
-            // The decrement is last: the reactor must not drain while
-            // this pump's final frames are still unqueued.
-            shared.live_pumps.fetch_sub(1, Ordering::AcqRel);
-            waker.wake(CMD_TOKEN);
-        });
-        // Wake the reactor so attaches parked for this id resolve now.
-        self.waker.wake(CMD_TOKEN);
-        SessionHandle { id, rx: result_rx }
-    }
-
     /// Registers `entry` under `id`, refusing to clobber a live session
-    /// (re-registering an id would orphan the running driver's routes).
+    /// (re-registering an id would orphan the running session's routes).
     /// Wakes the reactor so parked attaches for `id` resolve immediately.
     fn register(
         &self,
         id: SessionId,
-        entry: &Arc<SessionEntry<M>>,
+        entry: &Arc<SessionEntry>,
         result_tx: &Sender<Result<Outcome, NetError>>,
     ) -> bool {
         let mut sessions = self.shared.sessions.lock().expect("sessions poisoned");
@@ -436,30 +344,6 @@ impl<M: Wire + Send + 'static> Service<M> {
         let plan = plan.clone();
         let meta = RunMeta::cell(id, kind.clone(), seed);
         self.host_with_meta(
-            id,
-            plan.processes(),
-            move || plan.open_session(&kind, seed),
-            meta,
-        )
-    }
-
-    /// [`Service::host_plan`] on the thread-per-session engine — the cell
-    /// metadata travels with the session either way, so a store-backed
-    /// sink records replayable headers under both drivers (the
-    /// differential replay suite leans on this).
-    pub fn host_plan_threaded<P>(
-        &self,
-        id: SessionId,
-        plan: &P,
-        kind: SchedulerKind,
-        seed: u64,
-    ) -> SessionHandle
-    where
-        P: SessionPlan<Msg = M>,
-    {
-        let plan = plan.clone();
-        let meta = RunMeta::cell(id, kind.clone(), seed);
-        self.host_threaded_with_meta(
             id,
             plan.processes(),
             move || plan.open_session(&kind, seed),
@@ -519,7 +403,7 @@ impl<M: Wire + Send + 'static> Drop for Service<M> {
 /// or a dead connection is [`NetError::PeerVanished`] — the typed owner
 /// the failure-mode suites assert on.
 pub(crate) fn ship<M: Wire>(
-    entry: &SessionEntry<M>,
+    entry: &SessionEntry,
     sid: SessionId,
     env: Envelope<M>,
     flight: &mut FlightState<M>,
@@ -562,7 +446,7 @@ pub(crate) fn ship<M: Wire>(
 
 /// Sends `frame` once per distinct connection attached to the session (a
 /// relay may serve several players of one session over one conn).
-pub(crate) fn broadcast<M: Wire>(entry: &SessionEntry<M>, frame: &Frame<M>) {
+pub(crate) fn broadcast<M: Wire>(entry: &SessionEntry, frame: &Frame<M>) {
     let routes: Vec<Arc<ConnOut>> = entry
         .routes
         .lock()
@@ -581,11 +465,10 @@ pub(crate) fn broadcast<M: Wire>(entry: &SessionEntry<M>, frame: &Frame<M>) {
     }
 }
 
-/// The pump's wire-side bookkeeping: the delivery buffer, the shipped-but-
+/// A session's wire-side bookkeeping: the delivery buffer, the shipped-but-
 /// not-returned counts (total and per destination, kept in lockstep), and
 /// the vanished-relay ledger. One `absorb` is the single place an inbound
-/// event touches the accounting — the reactor state machine and the
-/// threaded pump both call it, so they cannot drift apart.
+/// event touches the accounting.
 pub(crate) struct FlightState<M> {
     pub(crate) held: Vec<Envelope<M>>,
     pub(crate) in_flight: u64,
@@ -705,8 +588,9 @@ impl<M> FlightState<M> {
 }
 
 /// Finishes a networked session, handing the outcome to the configured
-/// sink first — the single recording site for the threaded driver, so a
-/// session cannot be recorded twice no matter which pump arm ended it.
+/// sink first — the single recording site for hosted sessions, so a
+/// session cannot be recorded twice no matter which arm of the reactor's
+/// state machine ended it.
 pub(crate) fn finish_recorded<M>(
     session: Session<M>,
     sink: Option<&Arc<dyn TraceSink>>,
@@ -717,161 +601,6 @@ pub(crate) fn finish_recorded<M>(
         sink.record(meta, &outcome);
     }
     outcome
-}
-
-/// The thread-per-session engine ([`Service::host_threaded`]): barrier on
-/// attaches, then the ship / deliver / quiesce loop described in the
-/// module docs. The reactor's `SessionSm` mirrors this arm for arm — the
-/// differential suite pins the correspondence.
-fn pump<M: Wire + Send>(
-    sid: SessionId,
-    mut session: Session<M>,
-    entry: &SessionEntry<M>,
-    inbox: Receiver<Inbound<M>>,
-    cfg: &ServiceConfig,
-) -> Result<Outcome, NetError> {
-    let expected = entry.expected;
-    let mut flight: FlightState<M> = FlightState::new(expected, cfg.auth);
-    let (depth, mut rng) = match cfg.delivery {
-        DeliveryOrder::Arrival => (0usize, None),
-        DeliveryOrder::Shuffled { seed, depth } => (depth, Some(StdRng::seed_from_u64(seed ^ sid))),
-    };
-
-    // Attach barrier: every world process needs a relay before the first
-    // message leaves the plane.
-    let mut attached = vec![false; expected];
-    let mut nattached = 0usize;
-    let deadline = Instant::now() + cfg.attach_timeout;
-    while nattached < expected {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(NetError::AttachTimeout {
-                session: sid,
-                attached: nattached,
-                expected,
-            });
-        }
-        match inbox.recv_timeout(left) {
-            Ok(Inbound::Attached { player }) => {
-                if !attached[player] {
-                    attached[player] = true;
-                    nattached += 1;
-                }
-            }
-            Ok(Inbound::PeerGone { player }) => {
-                if attached[player] {
-                    attached[player] = false;
-                    nattached -= 1;
-                }
-            }
-            // Nothing has been shipped yet, so any early frame is a peer
-            // improvising; hold it — it will be delivered in order.
-            Ok(ev @ (Inbound::Msg { .. } | Inbound::Tampered { .. })) => {
-                flight.absorb(ev);
-                if let Some((conn, kind)) = flight.violation {
-                    return Err(NetError::AuthFailure {
-                        session: sid,
-                        conn,
-                        kind,
-                    });
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                return Err(NetError::AttachTimeout {
-                    session: sid,
-                    attached: nattached,
-                    expected,
-                });
-            }
-            Err(RecvTimeoutError::Disconnected) => return Err(NetError::ServiceGone),
-        }
-    }
-
-    loop {
-        // 0. A tampering verdict (parse-layer event or replay detection)
-        //    aborts the session with its typed owner before anything else.
-        if let Some((conn, kind)) = flight.violation {
-            return Err(NetError::AuthFailure {
-                session: sid,
-                conn,
-                kind,
-            });
-        }
-        // 1. Ship every freshly-sent message onto its network leg.
-        for env in session.drain_outbox() {
-            ship(entry, sid, env, &mut flight)?;
-        }
-        // 2. Dispatch local events (start signals stay on the plane).
-        if !session.pending().is_empty() {
-            if session.step().is_done() {
-                // Mid-run Done can only be the budget guard: termination
-                // with events pending is BudgetExhausted by construction.
-                return Ok(finish_recorded(session, cfg.sink.as_ref(), &entry.meta));
-            }
-            continue;
-        }
-        // 3. Absorb everything the network has already handed back.
-        loop {
-            match inbox.try_recv() {
-                Ok(inbound) => flight.absorb(inbound),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return Err(NetError::ServiceGone),
-            }
-        }
-        if let Some((conn, kind)) = flight.violation {
-            return Err(NetError::AuthFailure {
-                session: sid,
-                conn,
-                kind,
-            });
-        }
-        // 4. Deliver one held frame — immediately under Arrival order,
-        //    through the shuffle buffer otherwise (force-drained once
-        //    nothing is left in flight, so the policy is always live).
-        if !flight.held.is_empty() && (flight.held.len() > depth || flight.in_flight == 0) {
-            let i = match &mut rng {
-                Some(r) => r.gen_range(0..flight.held.len()),
-                None => 0,
-            };
-            let env = flight.held.remove(i);
-            if session.inject(env.src, env.dst, env.msg).progressed() && session.step().is_done() {
-                // Budget guard mid-delivery.
-                return Ok(finish_recorded(session, cfg.sink.as_ref(), &entry.meta));
-            }
-            continue;
-        }
-        // 5. Quiescence: plane drained, buffer empty, wire empty — the
-        //    session's own verdict is now trustworthy.
-        if flight.in_flight == 0 {
-            debug_assert!(flight.held.is_empty());
-            return match session.step() {
-                SessionStatus::Done(_) => {
-                    Ok(finish_recorded(session, cfg.sink.as_ref(), &entry.meta))
-                }
-                SessionStatus::Running => unreachable!("empty plane must terminate"),
-            };
-        }
-        // 6. Traffic is in flight. A vanished relay is fatal only if its
-        //    player still owes us frames (otherwise a replacement may yet
-        //    attach, and sends to it will fail loudly at `ship`).
-        if let Some(player) = flight.fatal_gone() {
-            return Err(NetError::PeerVanished {
-                session: sid,
-                player,
-            });
-        }
-        // 7. Block for the network.
-        match inbox.recv_timeout(cfg.idle_timeout) {
-            Ok(inbound) => flight.absorb(inbound),
-            Err(RecvTimeoutError::Timeout) => {
-                return Err(NetError::IdleTimeout {
-                    session: sid,
-                    in_flight: flight.in_flight,
-                });
-            }
-            Err(RecvTimeoutError::Disconnected) => return Err(NetError::ServiceGone),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

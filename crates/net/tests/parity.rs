@@ -16,7 +16,7 @@ use mediator_core::scenario::{CheapTalkPlan, MediatorPlan, Scenario, SessionPlan
 use mediator_field::Fp;
 use mediator_net::{
     run_over_mem, Client, DeliveryOrder, Frame, MemTransport, NetError, NetPlan, RejectReason,
-    Service, ServiceConfig,
+    Service, ServiceConfig, TcpTransport, Wire, WIRE_VERSION,
 };
 use mediator_sim::{Outcome, SchedulerKind, TerminationKind};
 use std::time::Duration;
@@ -406,5 +406,66 @@ fn vanishing_relay_with_traffic_in_flight_is_fatal_and_typed() {
             Err(NetError::Aborted { session: 3 })
         );
     }
+    service.shutdown();
+}
+
+#[test]
+fn slow_loris_partial_frames_stall_nobody() {
+    // A peer dribbling an Attach frame one byte at a time across the
+    // whole run: with per-connection incremental parsing the partial
+    // frame just sits in that connection's read buffer. Before the
+    // reactor, a reader *thread* blocked mid-frame was harmless but a
+    // slot wasted; in a shared event loop this test is load-bearing —
+    // one stalled peer must not stall the loop.
+    let n = 5;
+    let plan = majority_plan(n);
+    let transport = TcpTransport::bind_loopback().expect("bind");
+    let addr = transport.addr();
+    let service = Service::with_config(Box::new(transport), quick_cfg());
+    let handle = plan.serve(&service, 1, SchedulerKind::Fifo, 0);
+
+    // The loris: a well-formed Attach for an unknown session, trickled.
+    let loris = std::thread::spawn(move || {
+        use std::io::{Read, Write};
+        let mut sock = std::net::TcpStream::connect(addr).expect("loris connect");
+        let mut body = vec![WIRE_VERSION, 0u8];
+        999u64.encode(&mut body);
+        7usize.encode(&mut body);
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        for byte in frame {
+            sock.write_all(&[byte]).expect("dribble");
+            sock.flush().expect("flush");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The frame finally parsed: session 999 was never hosted, so
+        // after the grace window the service answers with a typed Reject
+        // on this same connection.
+        let mut len = [0u8; 4];
+        sock.read_exact(&mut len).expect("reject frame length");
+        let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+        sock.read_exact(&mut body).expect("reject frame body");
+        assert_eq!(body[0], WIRE_VERSION);
+        assert_eq!(body[1], 3, "tag must be Reject");
+    });
+
+    // Meanwhile the healthy session proceeds at full speed.
+    let relays: Vec<_> = (0..n)
+        .map(|player| {
+            std::thread::spawn(move || {
+                let mut client = Client::<CtMsg>::tcp(addr).expect("connect");
+                client.attach(1, player).expect("attach");
+                client.relay().expect("relay")
+            })
+        })
+        .collect();
+    let outcome = handle
+        .outcome()
+        .expect("healthy session unaffected by the loris");
+    assert_eq!(outcome.termination, TerminationKind::Quiescent);
+    for relay in relays {
+        relay.join().expect("relay thread");
+    }
+    loris.join().expect("loris thread");
     service.shutdown();
 }

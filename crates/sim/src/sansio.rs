@@ -3,12 +3,8 @@
 //! Every protocol substrate in this workspace — reliable broadcast, binary
 //! agreement, common subset, AVSS, the MPC engine — is written *sans IO*: a
 //! pure state machine that consumes `(from, msg)` events and returns batches
-//! of [`Outgoing`] messages. Historically each layer re-invented the glue
-//! that turns such a machine into something a runtime can drive: the
-//! broadcast crate had a private `Outgoing`/`Dest`/`Behavior` vocabulary and
-//! a seeded-random `Net` driver, and `mediator-core` hand-rolled the same
-//! wrapping again to embed the MPC engine into a [`Process`]. This module is
-//! the one shared home for that contract:
+//! of [`Outgoing`] messages. This module is the one shared home for the glue
+//! that turns such a machine into something the [`World`] can drive:
 //!
 //! * [`Dest`] / [`Outgoing`] / [`map_batch`] — the outgoing-message shapes
 //!   (re-exported by `mediator-bcast` for backward compatibility);
@@ -17,9 +13,9 @@
 //! * [`SansIoProcess`] — the generic adapter that wraps any [`SansIo`]
 //!   machine as a [`Process`], so the full [`World`] — all
 //!   schedulers, starvation bounds, traces, failure injection — can drive
-//!   the substrates that previously only ran under the toy `Net` driver;
-//! * [`Behavior`] / [`ByzantineProcess`] — byzantine players as processes,
-//!   mirroring the `Net` driver's behaviour-closure semantics;
+//!   every substrate;
+//! * [`Behavior`] / [`ByzantineProcess`] — byzantine players as processes
+//!   driven by a behaviour closure;
 //! * [`run_machines`] — the convenience runner used by the protocol test
 //!   suites (honest machines + byzantine behaviours + a scheduler in, an
 //!   [`Outcome`] and per-player outputs out).
@@ -170,8 +166,8 @@ pub fn map_batch<M, N>(batch: Vec<Outgoing<M>>, mut f: impl FnMut(M) -> N) -> Ve
 }
 
 /// Expands a batch into point-to-point sends: the one shared implementation
-/// of broadcast fan-out, used by the [`SansIoProcess`] adapter, the legacy
-/// `Net` compatibility driver, and the cheap-talk embedding alike.
+/// of broadcast fan-out, used by the [`SansIoProcess`] adapter and the
+/// cheap-talk embedding alike.
 pub fn route_batch<M: Clone>(n: usize, batch: Vec<Outgoing<M>>, mut send: impl FnMut(usize, M)) {
     for o in batch {
         match o.dest {
@@ -187,8 +183,7 @@ pub fn route_batch<M: Clone>(n: usize, batch: Vec<Outgoing<M>>, mut send: impl F
 
 /// Byzantine behaviour: `(me, from, msg) -> messages to inject`.
 ///
-/// The same shape the legacy `Net` driver used; under a [`World`] the
-/// behaviour runs inside a [`ByzantineProcess`].
+/// Under a [`World`] the behaviour runs inside a [`ByzantineProcess`].
 pub trait BehaviorFn<M>: Fn(usize, usize, &M) -> Vec<(usize, M)> {
     /// Clones the behaviour into a fresh box (for reuse across seeds).
     fn clone_box(&self) -> Behavior<M>;
@@ -357,9 +352,8 @@ impl<S: SansIo> Process<S::Msg> for SansIoProcess<S> {
 
 /// A byzantine player as a process: every delivered message is fed to the
 /// behaviour closure and the returned messages are injected into the world.
-/// This reproduces the legacy `Net` driver's byzantine semantics under every
-/// scheduler, including self-addressed injections (which arrive back as
-/// fresh deliveries). An optional *kickoff* batch models actively deviant
+/// This holds under every scheduler, including self-addressed injections
+/// (which arrive back as fresh deliveries). An optional *kickoff* batch models actively deviant
 /// starts — an equivocating dealer, forged first votes — sent when the
 /// environment first schedules the player.
 pub struct ByzantineProcess<M> {

@@ -47,8 +47,8 @@ impl RunMeta {
 }
 
 /// A recorder of completed runs. Implementations must tolerate concurrent
-/// calls (the threaded service driver completes sessions from many pump
-/// threads) and should not panic: recording is an observer, and a failing
+/// calls (one sink may be shared by a service's reactor thread, parallel
+/// batch workers and the caller) and should not panic: recording is an observer, and a failing
 /// sink must not take the run down with it.
 pub trait TraceSink: Send + Sync {
     /// Records one completed run.

@@ -5,7 +5,7 @@
 //! pattern) the *only* free variable once processes and seeds are fixed.
 //! This crate makes that fact operational: it persists the schedule and
 //! verdict of interesting runs (a §6.4 attack found by the conformance
-//! sweep, a networked differential cell) in a compact append-only log,
+//! sweep, a networked session) in a compact append-only log,
 //! and re-enacts any stored run on demand, asserting the re-recorded
 //! trace is byte-identical.
 //!

@@ -1,9 +1,9 @@
 //! The [`TraceSink`] adapter: plugs a [`TraceStore`] into anything that
-//! emits `(RunMeta, Outcome)` pairs — the networked service drivers, the
+//! emits `(RunMeta, Outcome)` pairs — the networked service, the
 //! conformance sweep, a bench harness.
 //!
-//! The sink is `Sync` (a service records from its reactor thread and its
-//! pump threads alike), so the store sits behind a mutex; the sink's
+//! The sink is `Sync` (a service records from its reactor thread while
+//! the caller holds the same sink), so the store sits behind a mutex; the sink's
 //! [`TraceSink::record`] contract is infallible, so a backend failure is
 //! latched instead of propagated — callers check
 //! [`StoreSink::take_error`] after the runs they care about.
