@@ -190,6 +190,47 @@ fn main() {
     }
 }
 
+/// Runs one AVSS instance (n = 9, f = 2, 162 secrets, dealer 8) to
+/// completion with player 0's row withheld, delivering in FIFO order.
+/// Returns the number of messages delivered.
+///
+/// # Panics
+///
+/// Panics unless every player completes.
+fn avss_instance_withheld_row() -> u64 {
+    use mediator_vss::avss::{self, AvssDest, AvssMsg, AvssState};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::VecDeque;
+
+    let (n, f, dealer) = (9usize, 2usize, 8usize);
+    let mut rng = StdRng::seed_from_u64(11);
+    let secrets: Vec<Fp> = (0..162).map(|_| Fp::random(&mut rng)).collect();
+    let mut states: Vec<AvssState> = (0..n).map(|me| AvssState::new(n, f, me)).collect();
+    let mut queue: VecDeque<(usize, usize, AvssMsg)> = avss::deal(&secrets, n, f, &mut rng)
+        .into_iter()
+        .enumerate()
+        .skip(1)
+        .map(|(to, rows)| (dealer, to, rows))
+        .collect();
+    let mut delivered = 0u64;
+    while let Some((from, to, msg)) = queue.pop_front() {
+        delivered += 1;
+        let (out, _) = states[to].on_message(from, msg);
+        for (dest, m) in out {
+            match dest {
+                AvssDest::One(d) => queue.push_back((to, d, m)),
+                AvssDest::All => queue.extend((0..n).map(|d| (to, d, m.clone()))),
+            }
+        }
+    }
+    assert!(
+        states.iter().all(AvssState::is_completed),
+        "every player completes"
+    );
+    delivered
+}
+
 /// `--bench` — the tracked BENCH.json trajectory: hot-path workloads timed
 /// as median ns/op with their message/step counters, appended under the
 /// given label. These are the numbers every perf PR must beat; see the
@@ -286,6 +327,17 @@ fn bench_trajectory(label: &str, out: &str, fast: bool, net_only: bool) {
             avss::deal(&secrets, 9, 2, &mut rng)
         });
         metrics.push(Metric::new("avss_deal_n9_f2_vec8", ns));
+
+        // One whole AVSS instance at the robust cell's shape: n = 9,
+        // f = 2, and the 162-secret vector an MPC input phase shares for
+        // majority_circuit(9) (1 input + 2·80 masks + 1 pad). Player 0's
+        // row is withheld, so echo recovery runs beside own-row
+        // confirmation.
+        let messages = avss_instance_withheld_row();
+        let ns = median_ns_per_op(ksamples, kiters.min(5), avss_instance_withheld_row);
+        metrics.push(
+            Metric::new("avss_instance_n9_f2_vec162_withheld", ns).with("messages", messages),
+        );
 
         // End-to-end cheap talk (Theorem 4.1 majority, n = 5): everything
         // at once — event plane, engine, kernels.

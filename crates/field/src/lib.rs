@@ -9,9 +9,10 @@
 //!   is two adds and a compare; products fit in `u128`).
 //! * [`Poly`] — dense univariate polynomials with evaluation, interpolation,
 //!   Euclidean division and GCD.
-//! * [`grid`] — barycentric Lagrange weights for the fixed share grid
-//!   `x = 1..=n` (cached per `n`, batch-inverted): the fast interpolation
-//!   path every reconstruction in the sharing layer runs on.
+//! * [`grid`] — interpolation and evaluation on the fixed share grid
+//!   `x = 1..=n`: interpolation matrices cached per index subset and
+//!   single-reduction evaluation against cached powers — the fast path
+//!   every dealing and reconstruction in the sharing layer runs on.
 //! * [`rs`] — Reed–Solomon encoding and **Berlekamp–Welch robust decoding**,
 //!   the exact primitive whose `n ≥ deg + 2e + 1` requirement produces the
 //!   paper's `n > 4(k+t)` threshold (Theorem 4.1). The decoder solves its

@@ -101,8 +101,8 @@ impl Poly {
     /// evaluations, and their inverses batch via Montgomery's trick. (The
     /// seed rebuilt every basis from its linear factors — O(n³) — and paid
     /// one exponentiation-inversion per point.) For share-grid points,
-    /// [`crate::grid::interpolate_indices`] is faster still: its weights
-    /// are cached.
+    /// [`crate::grid::interpolate_indices`] is faster still: its
+    /// interpolation matrices are cached per index subset.
     ///
     /// # Panics
     ///
@@ -149,9 +149,9 @@ impl Poly {
     /// The shared interpolation core: given the master polynomial over the
     /// points and the inverted barycentric denominators (`weights`),
     /// accumulates `Σ (y_i · w_i) · M(x)/(x − x_i)` with one synthetic
-    /// division per point. Both [`Poly::interpolate`] (derivative-based
-    /// weights) and [`crate::grid::interpolate_indices`] (cached grid
-    /// weights) bottom out here.
+    /// division per point. [`Poly::interpolate`] (derivative-based
+    /// weights) and the fallback path of [`crate::grid::interpolate_indices`]
+    /// (unsorted or off-grid indices) bottom out here.
     pub(crate) fn interpolate_with_master(
         master: &[Fp],
         x_of: impl Fn(usize) -> Fp,

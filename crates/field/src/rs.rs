@@ -80,9 +80,10 @@ pub fn interpolate_exact(points: &[(Fp, Fp)], deg: usize) -> Result<Poly, RsErro
 }
 
 /// Share-grid variant of [`interpolate_exact`]: point `i` is
-/// `(idxs[i] + 1, ys[i])`. Hits the cached barycentric weights of
-/// [`grid`], which is what every reconstruction in the sharing layer
-/// actually interpolates over.
+/// `(idxs[i] + 1, ys[i])`. Interpolates with the cached per-subset matrix
+/// of [`grid`] and checks the witnesses by single-reduction grid
+/// evaluation — what every reconstruction in the sharing layer actually
+/// runs on.
 ///
 /// # Errors
 ///
@@ -106,7 +107,7 @@ pub fn interpolate_exact_indices(idxs: &[usize], ys: &[Fp], deg: usize) -> Resul
         return Err(RsError::DecodingFailed);
     }
     for (&i, &y) in idxs[deg + 1..].iter().zip(&ys[deg + 1..]) {
-        if p.eval(Fp::new(i as u64 + 1)) != y {
+        if grid::eval_index(p.coeffs(), i) != y {
             return Err(RsError::DecodingFailed);
         }
     }
@@ -204,7 +205,7 @@ impl DecodeScratch {
 /// Share-grid variant of [`decode_robust`]: point `i` is
 /// `(idxs[i] + 1, ys[i])`, and the returned bad-share positions index into
 /// `idxs`. The exact-interpolation fast path (`max_errors == 0`) runs on
-/// the cached grid weights.
+/// the cached grid kernel.
 ///
 /// # Errors
 ///

@@ -1,7 +1,8 @@
-//! Property-based tests: field axioms, polynomial identities, and robust
-//! decoding under arbitrary corruption patterns.
+//! Property-based tests: field axioms, polynomial identities, robust
+//! decoding under arbitrary corruption patterns, and the share-grid kernel
+//! against the generic polynomial code.
 
-use mediator_field::{rs, BigUint, Fp, Poly};
+use mediator_field::{grid, rs, BigUint, Fp, Poly};
 use proptest::prelude::*;
 
 fn arb_fp() -> impl Strategy<Value = Fp> {
@@ -93,6 +94,62 @@ proptest! {
         prop_assert_eq!(p, q);
     }
 
+    /// The cached-matrix grid interpolation equals generic Lagrange
+    /// interpolation on random sorted subsets of the grid (the cached
+    /// path, called twice so the second call reads the cache), shuffled
+    /// subsets and indices at or above 64 (both the plain fallback).
+    #[test]
+    fn grid_interpolation_matches_generic(
+        deg in 0usize..=8,
+        shape in 0u8..3,
+        seed in any::<u64>(),
+        ys in proptest::collection::vec(arb_fp(), 9),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (lo, hi) = if shape == 2 { (64, 200) } else { (0, 64) };
+        let mut idxs: Vec<usize> = Vec::new();
+        while idxs.len() <= deg {
+            let i = rng.gen_range(lo..hi);
+            if !idxs.contains(&i) {
+                idxs.push(i);
+            }
+        }
+        if shape != 1 {
+            idxs.sort_unstable();
+        }
+        let ys = &ys[..=deg];
+        let pts: Vec<(Fp, Fp)> = idxs
+            .iter()
+            .zip(ys)
+            .map(|(&i, &y)| (Fp::new(i as u64 + 1), y))
+            .collect();
+        let expect = Poly::interpolate(&pts);
+        prop_assert_eq!(grid::interpolate_indices(&idxs, ys), expect.clone());
+        prop_assert_eq!(grid::interpolate_indices(&idxs, ys), expect);
+    }
+
+    /// Single-reduction grid evaluation equals Horner's rule for degrees
+    /// up to 32, at grid points inside and beyond the cached powers table.
+    /// All-(p−1) coefficients maximise every product, the worst case for
+    /// the u128 accumulator.
+    #[test]
+    fn grid_evaluation_matches_horner(
+        coeffs in proptest::collection::vec(arb_fp(), 1..=33),
+        extreme in any::<bool>(),
+        n in 1usize..=70,
+    ) {
+        let coeffs = if extreme { vec![-Fp::ONE; coeffs.len()] } else { coeffs };
+        let p = Poly::from_coeffs(coeffs.clone());
+        let mut out = vec![Fp::ZERO; n];
+        grid::eval_grid(&coeffs, &mut out);
+        for (j, &v) in out.iter().enumerate() {
+            let expect = p.eval(Fp::new(j as u64 + 1));
+            prop_assert_eq!(v, expect);
+            prop_assert_eq!(grid::eval_index(&coeffs, j), expect);
+        }
+    }
+
     /// The headline robustness property: for any degree ≤ 4, any error count
     /// e ≤ 2, any subset of corrupted positions and any corruption values,
     /// Berlekamp–Welch recovers the true polynomial from deg + 2e + 1 points.
@@ -148,4 +205,19 @@ proptest! {
         let q = BigUint::from(a).div(&BigUint::from(b));
         prop_assert_eq!(q, BigUint::from(a / b));
     }
+}
+
+/// A repeated share index still panics with the distinctness message, on
+/// the sorted path (adjacent duplicate) and the unsorted fallback.
+#[test]
+#[should_panic(expected = "distinct")]
+fn grid_interpolation_rejects_adjacent_duplicates() {
+    let _ = grid::interpolate_indices(&[1, 3, 3], &[Fp::ONE; 3]);
+}
+
+/// See [`grid_interpolation_rejects_adjacent_duplicates`].
+#[test]
+#[should_panic(expected = "distinct")]
+fn grid_interpolation_rejects_unsorted_duplicates() {
+    let _ = grid::interpolate_indices(&[70, 2, 70], &[Fp::ONE; 3]);
 }

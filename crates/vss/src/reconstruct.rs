@@ -9,16 +9,28 @@
 //! correcting up to `f` errors succeeds provided `n − f ≥ deg + f + 1`,
 //! i.e. **`n ≥ deg + 2f + 1`** — with `deg = 2f` (product openings) this is
 //! the `n ≥ 4f + 1` of Theorem 4.1.
+//!
+//! Cost: the received points are kept as sorted index and value slices,
+//! so the exact attempt (`e = 0`) hands them straight to the share-grid
+//! kernel ([`mediator_field::grid`]) — a cached interpolation matrix for
+//! the first `deg + 1` senders and single-reduction witness checks —
+//! without building any vector per call. Only the error-correcting
+//! attempts need point form, filled into one reused buffer.
 
 use mediator_field::{rs, Fp, Poly};
-use std::collections::BTreeMap;
 
 /// Incremental robust reconstruction of one shared value.
 #[derive(Debug, Clone)]
 pub struct OecState {
     deg: usize,
     f: usize,
-    points: BTreeMap<usize, Fp>,
+    /// Distinct senders received so far, sorted, with their share values
+    /// at the same positions: the slices the grid kernel interpolates.
+    idxs: Vec<usize>,
+    ys: Vec<Fp>,
+    /// Point-form scratch for the error-correcting attempts, refilled in
+    /// place (allocated at most once per reconstruction).
+    pts: Vec<(Fp, Fp)>,
     decoded: Option<(Poly, Fp)>,
 }
 
@@ -29,7 +41,9 @@ impl OecState {
         OecState {
             deg,
             f,
-            points: BTreeMap::new(),
+            idxs: Vec::new(),
+            ys: Vec::new(),
+            pts: Vec::new(),
             decoded: None,
         }
     }
@@ -46,7 +60,7 @@ impl OecState {
 
     /// Number of distinct share points received.
     pub fn point_count(&self) -> usize {
-        self.points.len()
+        self.idxs.len()
     }
 
     /// Adds the share of player `index` (point `x = index+1`) and retries
@@ -57,37 +71,51 @@ impl OecState {
         if self.decoded.is_some() {
             return None;
         }
-        self.points.entry(index).or_insert(value);
+        // A duplicate leaves the point set as it was when acceptance last
+        // failed, so retrying could not succeed.
+        let pos = self.idxs.binary_search(&index).err()?;
+        if self.idxs.is_empty() {
+            // Liveness needs deg + 2f + 1 senders: size for them at the
+            // first share (not at construction — engines create
+            // reconstructors that may never receive one).
+            let senders = self.deg + 2 * self.f + 1;
+            self.idxs.reserve(senders);
+            self.ys.reserve(senders);
+        }
+        self.idxs.insert(pos, index);
+        self.ys.insert(pos, value);
         self.try_accept()
     }
 
     fn try_accept(&mut self) -> Option<Fp> {
-        let m = self.points.len();
+        let m = self.idxs.len();
         if m < self.deg + self.f + 1 {
             return None;
         }
         // The share points are grid indices: the exact path (e = 0) runs on
-        // the cached-weight grid kernel; the error-correcting attempts
-        // share one point vector, built lazily — the common clean-shares
-        // case accepts at e = 0 without ever materialising it.
-        let idxs: Vec<usize> = self.points.keys().copied().collect();
-        let ys: Vec<Fp> = self.points.values().copied().collect();
-        let mut pts: Vec<(Fp, Fp)> = Vec::new();
+        // the cached grid kernel straight from the sorted slices; the
+        // error-correcting attempts share one point vector, filled lazily —
+        // the common clean-shares case accepts at e = 0 without it.
+        let mut pts_filled = false;
         // Try error counts small to large; accept iff the candidate agrees
         // with ≥ deg + f + 1 received points.
         let max_e = ((m.saturating_sub(self.deg + 1)) / 2).min(self.f);
         for e in 0..=max_e {
             let attempt = if e == 0 {
-                rs::interpolate_exact_indices(&idxs, &ys, self.deg).map(|p| (p, Vec::new()))
+                rs::interpolate_exact_indices(&self.idxs, &self.ys, self.deg)
+                    .map(|p| (p, Vec::new()))
             } else {
-                if pts.is_empty() {
-                    pts = idxs
-                        .iter()
-                        .zip(&ys)
-                        .map(|(&i, &y)| (Fp::new(i as u64 + 1), y))
-                        .collect();
+                if !pts_filled {
+                    self.pts.clear();
+                    self.pts.extend(
+                        self.idxs
+                            .iter()
+                            .zip(&self.ys)
+                            .map(|(&i, &y)| (Fp::new(i as u64 + 1), y)),
+                    );
+                    pts_filled = true;
                 }
-                rs::decode_robust(&pts, self.deg, e)
+                rs::decode_robust(&self.pts, self.deg, e)
             };
             if let Ok((poly, bad)) = attempt {
                 let agree = m - bad.len();
