@@ -3,81 +3,69 @@
 //! message-count tables E1–E5/E9 of the experiments binary).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mediator_bench::{
-    majority_spec_epsilon, majority_spec_punish, majority_spec_robust, ones_inputs,
-    run_with_deviant,
-};
+use mediator_bench::ones_inputs;
 use mediator_circuits::catalog;
 use mediator_core::egl;
-use mediator_core::mediator::{run_mediator_game, MediatorGameSpec};
-use mediator_field::Fp;
+use mediator_core::scenario::{CheapTalk, CheapTalkPlan, Scenario};
 use mediator_sim::SchedulerKind;
-use std::collections::BTreeMap;
 
 fn bench_mediator_game(c: &mut Criterion) {
     let mut g = c.benchmark_group("mediator-game");
     g.sample_size(20);
     let n = 5;
-    let spec = MediatorGameSpec::standard(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-    );
-    let inputs = ones_inputs(n);
+    let plan = Scenario::mediator(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(ones_inputs(n))
+        .build()
+        .expect("n − k − t ≥ 1");
     g.bench_function("majority_n5", |b| {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            run_mediator_game(
-                &spec,
-                &inputs,
-                BTreeMap::new(),
-                &SchedulerKind::Random,
-                seed,
-                200_000,
-            )
+            plan.run_with(&SchedulerKind::Random, seed)
         })
     });
     g.finish();
 }
 
+/// A majority game over `n` players at tolerance `(k, t)`, all-ones inputs.
+fn majority(n: usize, k: usize, t: usize) -> CheapTalk {
+    Scenario::cheap_talk(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(k, t)
+        .inputs(ones_inputs(n))
+}
+
 fn bench_cheap_talk(c: &mut Criterion) {
     let mut g = c.benchmark_group("cheap-talk");
     g.sample_size(10);
-    let n = 5;
-    let inputs = ones_inputs(n);
-
-    let robust = majority_spec_robust(n, 1, 0);
-    g.bench_function("thm4.1_robust_majority_n5", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            run_with_deviant(&robust, &inputs, None, &SchedulerKind::Random, seed)
-        })
-    });
-
-    let eps = majority_spec_epsilon(4, 0, 1, 2);
-    let inputs4 = ones_inputs(4);
-    g.bench_function("thm4.2_epsilon_majority_n4", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            run_with_deviant(&eps, &inputs4, None, &SchedulerKind::Random, seed)
-        })
-    });
-
-    let n6 = 6;
-    let punish = majority_spec_punish(n6, 1, 0);
-    let inputs6 = ones_inputs(n6);
-    g.bench_function("thm4.4_punishment_majority_n6", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            run_with_deviant(&punish, &inputs6, None, &SchedulerKind::Random, seed)
-        })
-    });
+    let plans: [(&str, CheapTalkPlan); 3] = [
+        (
+            "thm4.1_robust_majority_n5",
+            majority(5, 1, 0).build().expect("5 > 4"),
+        ),
+        (
+            "thm4.2_epsilon_majority_n4",
+            majority(4, 0, 1).epsilon(2).build().expect("4 > 3"),
+        ),
+        (
+            "thm4.4_punishment_majority_n6",
+            majority(6, 1, 0)
+                .wills(vec![3; 6]) // punishment action (out of the game's range on purpose)
+                .build()
+                .expect("6 > 3"),
+        ),
+    ];
+    for (name, plan) in &plans {
+        g.bench_function(*name, |b| {
+            let mut seed = 0;
+            b.iter(|| {
+                seed += 1;
+                plan.run_with(&SchedulerKind::Random, seed)
+            })
+        });
+    }
     g.finish();
 }
 

@@ -12,38 +12,31 @@ use mediator_core::adversary::{cheap_talk_deviant_cells, mediator_deviant_cells}
 use mediator_core::deviations::{Behavior, CounterexampleColluder};
 use mediator_core::egl;
 use mediator_core::implement::compare_run_sets;
-use mediator_core::mediator::{run_mediator_game, MedMsg, MediatorGameSpec};
 use mediator_core::min_info;
 use mediator_core::report::{check, f4, Table};
 use mediator_core::scenario::{CheapTalkPlan, MediatorPlan, Scenario};
-use mediator_core::CheapTalkSpec;
 use mediator_field::Fp;
 use mediator_games::library;
 use mediator_games::punishment;
 use mediator_games::solution;
 use mediator_sim::covert::{CovertDecoder, CovertSender};
 use mediator_sim::{Process, SchedulerKind, TerminationKind, World};
-use std::collections::BTreeMap;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "--all");
     let fast = args.iter().any(|a| a == "--fast");
+    // `--fast` is a modifier, not a selector: with no `--eN` (or `--all`)
+    // given, every experiment runs.
+    let is_selector = |a: &String| a == "--all" || a.starts_with("--e");
+    let run_all = !args.iter().any(is_selector) || args.iter().any(|a| a == "--all");
+    let want = |name: &str| run_all || args.iter().any(|a| a == name);
     let samples = if fast { 20 } else { 60 };
 
     if args.iter().any(|a| a == "--bench") {
         // BENCH.json mode: time the tracked hot-path workloads and append a
         // labelled entry to the performance trajectory (see DESIGN.md §5).
-        let label = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--label="))
-            .unwrap_or("dev")
-            .to_string();
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("BENCH.json")
-            .to_string();
+        let label = flag_value(&args, "--label").unwrap_or_else(|| "dev".into());
+        let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH.json".into());
         // `--net` restricts the run to the transport-plane workloads (the
         // reactor's tracked set) — what the CI bench-smoke job exercises.
         let net_only = args.iter().any(|a| a == "--net");
@@ -56,11 +49,7 @@ fn main() {
         // tactic must succeed against plain frames and die with the typed
         // AuthFailure verdict against authenticated ones (DESIGN.md §10).
         // Exits nonzero if any cell misbehaves.
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("TAMPER.json")
-            .to_string();
+        let out = flag_value(&args, "--out").unwrap_or_else(|| "TAMPER.json".into());
         tamper_battery(&out);
         return;
     }
@@ -77,24 +66,10 @@ fn main() {
         // and the rendered artifact is asserted byte-identical to the
         // local fan-out. Exits nonzero if the map and the theorems
         // disagree anywhere.
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("FRONTIER.json")
-            .to_string();
-        let witness_out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--witness-out="))
-            .unwrap_or("FRONTIER-WITNESS.mtrc")
-            .to_string();
-        let shard = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--shard=").map(str::to_string))
-            .or_else(|| {
-                args.iter()
-                    .position(|a| a == "--shard")
-                    .and_then(|i| args.get(i + 1).cloned())
-            })
+        let out = flag_value(&args, "--out").unwrap_or_else(|| "FRONTIER.json".into());
+        let witness_out =
+            flag_value(&args, "--witness-out").unwrap_or_else(|| "FRONTIER-WITNESS.mtrc".into());
+        let shard = flag_value(&args, "--shard")
             .map(|v| v.parse::<usize>().expect("--shard takes a worker count"));
         frontier_atlas(&out, &witness_out, fast, shard);
         return;
@@ -109,38 +84,16 @@ fn main() {
         // mem transport and the rendered report is asserted byte-identical
         // to the local fan-out (DESIGN.md §12). Exits nonzero if any
         // verdict contradicts the paper's claims.
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("CONFORMANCE.json")
-            .to_string();
-        let witness_out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--witness-out="))
-            .unwrap_or("WITNESS.mtrc")
-            .to_string();
-        let shard = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--shard=").map(str::to_string))
-            .or_else(|| {
-                args.iter()
-                    .position(|a| a == "--shard")
-                    .and_then(|i| args.get(i + 1).cloned())
-            })
+        let out = flag_value(&args, "--out").unwrap_or_else(|| "CONFORMANCE.json".into());
+        let witness_out =
+            flag_value(&args, "--witness-out").unwrap_or_else(|| "WITNESS.mtrc".into());
+        let shard = flag_value(&args, "--shard")
             .map(|v| v.parse::<usize>().expect("--shard takes a worker count"));
         conformance_battery(&out, &witness_out, fast, shard);
         return;
     }
 
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--replay")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--replay=").map(String::from))
-        })
-    {
+    if let Some(path) = flag_value(&args, "--replay") {
         // Replay mode: re-enact every run in a stored trace log (the
         // `--conformance` witness artifact, typically) and verify each one
         // reproduces byte-identically. Exits nonzero on any divergence.
@@ -188,6 +141,18 @@ fn main() {
     if want("--e11") {
         e11_substrate_timings();
     }
+}
+
+/// The value of option `name`, given as `name=value` or as `name value`
+/// (the first occurrence wins).
+fn flag_value(args: &[String], name: &str) -> Option<String> {
+    args.iter().enumerate().find_map(|(i, a)| {
+        if a == name {
+            args.get(i + 1).cloned()
+        } else {
+            a.strip_prefix(name)?.strip_prefix('=').map(String::from)
+        }
+    })
 }
 
 /// Runs one AVSS instance (n = 9, f = 2, 162 secrets, dealer 8) to
@@ -251,9 +216,7 @@ fn bench_trajectory(label: &str, out: &str, fast: bool, net_only: bool) {
     let (wsamples, ksamples, kiters) = if fast { (11, 11, 20) } else { (31, 31, 50) };
     let mut metrics = Vec::new();
 
-    let spec = majority_spec_robust(5, 1, 0);
-    let inputs = ones_inputs(5);
-    let plan = plan_for(&spec, &inputs);
+    let plan = robust_plan(catalog::majority_circuit(5));
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -341,9 +304,9 @@ fn bench_trajectory(label: &str, out: &str, fast: bool, net_only: bool) {
 
         // End-to-end cheap talk (Theorem 4.1 majority, n = 5): everything
         // at once — event plane, engine, kernels.
-        let ct = run_with_deviant(&spec, &inputs, None, &SchedulerKind::Random, 1);
+        let ct = plan.run_with(&SchedulerKind::Random, 1);
         let ns = median_ns_per_op(wsamples.min(15), 1, || {
-            run_with_deviant(&spec, &inputs, None, &SchedulerKind::Random, 1)
+            plan.run_with(&SchedulerKind::Random, 1)
         });
         metrics.push(
             Metric::new("cheap_talk_majority_n5_random", ns)
@@ -850,6 +813,18 @@ fn tamper_battery(out: &str) {
         all_ok,
         "tamper battery: at least one cell misbehaved (see table)"
     );
+}
+
+/// A Theorem 4.1 cheap-talk plan over `circuit` at `k = 1, t = 0` with
+/// all-ones inputs (`n` is the circuit's player count).
+fn robust_plan(circuit: mediator_circuits::Circuit) -> CheapTalkPlan {
+    let n = circuit.num_players();
+    Scenario::cheap_talk(circuit)
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(ones_inputs(n))
+        .build()
+        .expect("n > 4")
 }
 
 /// The Theorem 4.1 cheap-talk working point of the conformance battery
@@ -1375,32 +1350,23 @@ fn e11_substrate_timings() {
         format!("{:?}/op", start.elapsed() / iters),
     ]);
 
-    let spec = majority_spec_robust(5, 1, 0);
-    let inputs = ones_inputs(5);
+    let plan = robust_plan(catalog::majority_circuit(5));
     let start = Instant::now();
-    let out = run_with_deviant(&spec, &inputs, None, &SchedulerKind::Random, 1);
+    let out = plan.run_with(&SchedulerKind::Random, 1);
     t.row(vec![
         "cheap talk (Thm 4.1)".into(),
         format!("n 5, majority, {} msgs", out.messages_sent),
         format!("{:?}", start.elapsed()),
     ]);
 
-    let med = MediatorGameSpec::standard(
-        5,
-        1,
-        0,
-        catalog::majority_circuit(5),
-        vec![vec![Fp::ZERO]; 5],
-    );
+    let med = Scenario::mediator(catalog::majority_circuit(5))
+        .players(5)
+        .tolerance(1, 0)
+        .inputs(ones_inputs(5))
+        .build()
+        .expect("n − k − t ≥ 1");
     let start = Instant::now();
-    let out = run_mediator_game(
-        &med,
-        &inputs,
-        BTreeMap::new(),
-        &SchedulerKind::Random,
-        1,
-        200_000,
-    );
+    let out = med.run_with(&SchedulerKind::Random, 1);
     t.row(vec![
         "mediator game".into(),
         format!("n 5, majority, {} msgs", out.messages_sent),
@@ -1509,36 +1475,29 @@ fn e1_thresholds_robust(samples: usize) {
 fn e1b_robustness_report(samples: usize) {
     let n = 5;
     let game = library::byzantine_agreement_game(n);
-    let spec = majority_spec_robust(n, 1, 0);
     let types = vec![1usize; n];
-    let inputs = ones_inputs(n);
     let report = mediator_core::deviations::cheap_talk_robustness_report(
-        &spec, &game, &types, &inputs, 2, samples,
+        &robust_plan(catalog::majority_circuit(n)),
+        &game,
+        &types,
+        2,
+        samples,
     );
 
     // Theorem 4.1's actual claim: the cheap talk matches the *mediator game*
     // under the same deviation. Compute the mediator-game honest harm for
     // the not-moving deviations (the deviator simply never moves there too).
-    let med = MediatorGameSpec::standard(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-    );
+    let med = Scenario::mediator(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .inputs(ones_inputs(n))
+        .deviant(2, || Box::new(mediator_core::deviations::SilentProcess))
+        .build()
+        .expect("n − k − t ≥ 1");
     let med_harm_not_moving = {
         let mut honest_sum = 0.0;
         for seed in 0..samples as u64 {
-            let mut deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>> = BTreeMap::new();
-            deviants.insert(2, Box::new(mediator_core::deviations::SilentProcess));
-            let out = run_mediator_game(
-                &med,
-                &inputs,
-                deviants,
-                &SchedulerKind::Random,
-                seed,
-                200_000,
-            );
+            let out = med.run_with(&SchedulerKind::Random, seed);
             let mut actions: Vec<usize> = out.resolve_default(&vec![0; n + 1])[..n]
                 .iter()
                 .map(|&a| a as usize)
@@ -1851,16 +1810,7 @@ fn e5_message_scaling() {
     // Sweep n at fixed small circuit.
     let mut pts_n = Vec::new();
     for &n in &[5usize, 7, 9, 11] {
-        let spec = CheapTalkSpec::theorem_4_1(
-            n,
-            1,
-            0,
-            catalog::sum_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![0; n],
-        );
-        let inputs = ones_inputs(n);
-        let out = run_with_deviant(&spec, &inputs, None, &SchedulerKind::Random, 5);
+        let out = robust_plan(catalog::sum_circuit(n)).run_with(&SchedulerKind::Random, 5);
         pts_n.push((n as f64, out.messages_sent as f64));
         t.row(vec![
             "n".into(),
@@ -1887,10 +1837,7 @@ fn e5_message_scaling() {
     for &depth in &[1usize, 2, 4, 8, 16] {
         let circuit = catalog::work_circuit(n, 2, depth);
         let muls = circuit.mul_count();
-        let spec =
-            CheapTalkSpec::theorem_4_1(n, 1, 0, circuit, vec![vec![Fp::ZERO]; n], vec![0; n]);
-        let inputs = ones_inputs(n);
-        let out = run_with_deviant(&spec, &inputs, None, &SchedulerKind::Random, 5);
+        let out = robust_plan(circuit).run_with(&SchedulerKind::Random, 5);
         pts_c.push((muls as f64, out.messages_sent as f64));
         t.row(vec![
             "c".into(),
@@ -2145,8 +2092,14 @@ fn e9_egl() {
     );
     // The punishment protocol's cost does not depend on ε: measure once.
     let n = 5;
-    let spec = majority_spec_punish(n, 1, 0);
-    let out = run_with_deviant(&spec, &ones_inputs(n), None, &SchedulerKind::Random, 3);
+    let out = Scenario::cheap_talk(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(1, 0)
+        .wills(vec![3; n]) // punishment action (out of the game's range on purpose)
+        .inputs(ones_inputs(n))
+        .build()
+        .expect("5 > 3")
+        .run_with(&SchedulerKind::Random, 3);
     let flat = out.messages_sent;
     let mut pts = Vec::new();
     for &eps in &[0.1f64, 0.03, 0.01, 0.003, 0.001] {

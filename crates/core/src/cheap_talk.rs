@@ -30,8 +30,8 @@ use mediator_circuits::Circuit;
 use mediator_field::Fp;
 use mediator_mpc::{Mode, MpcConfig, MpcDriver, MpcEvent, MpcMsg};
 use mediator_sim::sansio::{route_batch, SansIo};
-use mediator_sim::{Action, Ctx, Outcome, Process, ProcessId, SchedulerKind, TamperVerdict};
-use std::collections::{BTreeMap, BTreeSet};
+use mediator_sim::{Action, Ctx, Process, ProcessId, TamperVerdict};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Which theorem's machinery to run.
@@ -55,7 +55,10 @@ pub enum CtMsg {
     Finished,
 }
 
-/// Specification of a cheap-talk execution.
+/// The engine config of a cheap-talk execution: what
+/// [`CheapTalk::build`](crate::scenario::CheapTalk::build) produces from a
+/// validated scenario and
+/// [`CheapTalkPlan::spec`](crate::scenario::CheapTalkPlan::spec) returns.
 #[derive(Debug, Clone)]
 pub struct CheapTalkSpec {
     /// Number of players.
@@ -102,82 +105,6 @@ impl CheapTalkSpec {
                 coin_seed: self.coin_seed,
                 defaults: self.defaults.clone(),
             },
-        }
-    }
-
-    /// A Theorem 4.1 spec.
-    pub fn theorem_4_1(
-        n: usize,
-        k: usize,
-        t: usize,
-        circuit: Circuit,
-        defaults: Vec<Vec<Fp>>,
-        default_actions: Vec<Action>,
-    ) -> Self {
-        CheapTalkSpec {
-            n,
-            k,
-            t,
-            variant: CtVariant::Robust,
-            circuit: Arc::new(circuit),
-            coin_seed: 0x5EED,
-            defaults,
-            punishment: None,
-            default_actions,
-            barrier: false,
-        }
-    }
-
-    /// A Theorem 4.2 spec (ε-implementation).
-    pub fn theorem_4_2(
-        n: usize,
-        k: usize,
-        t: usize,
-        kappa: usize,
-        circuit: Circuit,
-        defaults: Vec<Vec<Fp>>,
-        default_actions: Vec<Action>,
-    ) -> Self {
-        CheapTalkSpec {
-            variant: CtVariant::Epsilon { kappa },
-            ..CheapTalkSpec::theorem_4_1(n, k, t, circuit, defaults, default_actions)
-        }
-    }
-
-    /// A Theorem 4.4 spec (punishment wills + cotermination barrier).
-    pub fn theorem_4_4(
-        n: usize,
-        k: usize,
-        t: usize,
-        circuit: Circuit,
-        defaults: Vec<Vec<Fp>>,
-        punishment: Vec<Action>,
-        default_actions: Vec<Action>,
-    ) -> Self {
-        CheapTalkSpec {
-            punishment: Some(punishment),
-            barrier: true,
-            ..CheapTalkSpec::theorem_4_1(n, k, t, circuit, defaults, default_actions)
-        }
-    }
-
-    /// A Theorem 4.5 spec (ε + punishment).
-    #[allow(clippy::too_many_arguments)]
-    pub fn theorem_4_5(
-        n: usize,
-        k: usize,
-        t: usize,
-        kappa: usize,
-        circuit: Circuit,
-        defaults: Vec<Vec<Fp>>,
-        punishment: Vec<Action>,
-        default_actions: Vec<Action>,
-    ) -> Self {
-        CheapTalkSpec {
-            variant: CtVariant::Epsilon { kappa },
-            punishment: Some(punishment),
-            barrier: true,
-            ..CheapTalkSpec::theorem_4_1(n, k, t, circuit, defaults, default_actions)
         }
     }
 }
@@ -385,62 +312,37 @@ impl Process<CtMsg> for CheapTalkPlayer {
     }
 }
 
-/// Runs one cheap-talk game with optional deviant behaviours per player.
-/// Returns the sim outcome; message counts and traces ride along.
-///
-/// Thin, source-compatible wrapper over the builder surface: equivalent to
-/// [`CheapTalkPlan`](crate::scenario::CheapTalkPlan) with the default
-/// starvation bound
-/// ([`DEFAULT_CHEAP_TALK_STARVATION_BOUND`](crate::scenario::DEFAULT_CHEAP_TALK_STARVATION_BOUND)).
-/// New code should start from [`Scenario::cheap_talk`](crate::scenario::Scenario::cheap_talk),
-/// which also validates the theorem thresholds at build time; the parity
-/// suite pins this wrapper byte-for-byte against the builder path.
-pub fn run_cheap_talk(
-    spec: &CheapTalkSpec,
-    inputs: &[Vec<Fp>],
-    behaviors: &BTreeMap<usize, Behavior>,
-    kind: &SchedulerKind,
-    seed: u64,
-    max_steps: u64,
-) -> Outcome {
-    crate::scenario::CheapTalkPlan::from_spec(spec.clone(), inputs.to_vec())
-        .with_behaviors(behaviors.clone())
-        .max_steps(max_steps)
-        .run_with(kind, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{CheapTalk, Scenario};
     use mediator_circuits::catalog;
+    use mediator_sim::{Outcome, SchedulerKind};
 
-    fn majority_spec(n: usize, k: usize, t: usize) -> CheapTalkSpec {
-        CheapTalkSpec::theorem_4_1(
-            n,
-            k,
-            t,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![0; n],
-        )
+    fn bits(bits: &[u64]) -> Vec<Vec<Fp>> {
+        bits.iter().map(|&b| vec![Fp::new(b)]).collect()
+    }
+
+    /// A majority game over `n` players at tolerance `(k, t)`.
+    fn majority(n: usize, k: usize, t: usize) -> CheapTalk {
+        Scenario::cheap_talk(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(k, t)
+            .max_steps(2_000_000)
+    }
+
+    /// Builds the scenario (the threshold holds) and runs it once under the
+    /// random scheduler.
+    fn run(game: CheapTalk, seed: u64) -> Outcome {
+        game.build()
+            .expect("threshold holds")
+            .run_with(&SchedulerKind::Random, seed)
     }
 
     #[test]
     fn honest_cheap_talk_computes_majority() {
         let n = 5; // k=1, t=0: n > 4 ✓
-        let spec = majority_spec(n, 1, 0);
-        let inputs: Vec<Vec<Fp>> = [1u64, 0, 1, 1, 0]
-            .iter()
-            .map(|&b| vec![Fp::new(b)])
-            .collect();
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &BTreeMap::new(),
-            &SchedulerKind::Random,
-            42,
-            2_000_000,
-        );
+        let out = run(majority(n, 1, 0).inputs(bits(&[1, 0, 1, 1, 0])), 42);
         let moves = out.resolve_default(&vec![9; n]);
         assert_eq!(moves, vec![1; n]);
     }
@@ -448,24 +350,14 @@ mod tests {
     #[test]
     fn silent_deviator_does_not_block_robust_protocol() {
         let n = 5;
-        let spec = majority_spec(n, 1, 0);
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let mut behaviors = BTreeMap::new();
-        behaviors.insert(
-            3usize,
-            Behavior {
-                silent: true,
-                ..Behavior::default()
-            },
-        );
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &behaviors,
-            &SchedulerKind::Random,
-            7,
-            2_000_000,
-        );
+        let silent = Behavior {
+            silent: true,
+            ..Behavior::default()
+        };
+        let game = majority(n, 1, 0)
+            .inputs(vec![vec![Fp::ONE]; n])
+            .deviant(3, silent);
+        let out = run(game, 7);
         for (p, m) in out.moves.iter().enumerate() {
             if p != 3 {
                 assert_eq!(*m, Some(1), "player {p}");
@@ -476,27 +368,15 @@ mod tests {
     #[test]
     fn opening_liar_is_corrected() {
         let n = 5;
-        let spec = majority_spec(n, 1, 0);
-        let inputs: Vec<Vec<Fp>> = [0u64, 0, 1, 0, 1]
-            .iter()
-            .map(|&b| vec![Fp::new(b)])
-            .collect();
-        let mut behaviors = BTreeMap::new();
-        behaviors.insert(
-            2usize,
-            Behavior {
-                lie_in_opens: true,
-                ..Behavior::default()
-            },
-        );
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &behaviors,
-            &SchedulerKind::Random,
-            13,
-            4_000_000,
-        );
+        let liar = Behavior {
+            lie_in_opens: true,
+            ..Behavior::default()
+        };
+        let game = majority(n, 1, 0)
+            .inputs(bits(&[0, 0, 1, 0, 1]))
+            .deviant(2, liar)
+            .max_steps(4_000_000);
+        let out = run(game, 13);
         // Honest majority of (0,0,1,0,1) = 0 — the liar's input still counts
         // (it dealt honestly) but its opening lies must be corrected.
         for (p, m) in out.moves.iter().enumerate() {
@@ -512,33 +392,18 @@ mod tests {
         // crashes mid-protocol; either everyone (honest) moves or nobody
         // does — never a mix.
         let n = 6; // k=1, t=0: n > 3k+4t = 3 ✓ (and > 4f for the engine)
-        let spec = CheapTalkSpec::theorem_4_4(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![5; n], // punishment action
-            vec![0; n],
-        );
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
+        let crash = Behavior {
+            crash_after_sends: Some(40),
+            ..Behavior::default()
+        };
+        let plan = majority(n, 1, 0)
+            .wills(vec![5; n]) // punishment action
+            .inputs(vec![vec![Fp::ONE]; n])
+            .deviant(1, crash)
+            .build()
+            .expect("6 > 3");
         for seed in 0..5 {
-            let mut behaviors = BTreeMap::new();
-            behaviors.insert(
-                1usize,
-                Behavior {
-                    crash_after_sends: Some(40),
-                    ..Behavior::default()
-                },
-            );
-            let out = run_cheap_talk(
-                &spec,
-                &inputs,
-                &behaviors,
-                &SchedulerKind::Random,
-                seed,
-                2_000_000,
-            );
+            let out = plan.run_with(&SchedulerKind::Random, seed);
             let honest_moved: Vec<bool> = (0..n)
                 .filter(|&p| p != 1)
                 .map(|p| out.moves[p].is_some())
@@ -565,32 +430,15 @@ mod tests {
     fn refuse_to_move_triggers_wills_of_nobody_else_with_barrier_quorum() {
         // A single refusing player cannot stop the others: quorum is n−f.
         let n = 6;
-        let spec = CheapTalkSpec::theorem_4_4(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![5; n],
-            vec![0; n],
-        );
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let mut behaviors = BTreeMap::new();
-        behaviors.insert(
-            0usize,
-            Behavior {
-                refuse_to_move: true,
-                ..Behavior::default()
-            },
-        );
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &behaviors,
-            &SchedulerKind::Random,
-            3,
-            2_000_000,
-        );
+        let refuse = Behavior {
+            refuse_to_move: true,
+            ..Behavior::default()
+        };
+        let game = majority(n, 1, 0)
+            .wills(vec![5; n])
+            .inputs(vec![vec![Fp::ONE]; n])
+            .deviant(0, refuse);
+        let out = run(game, 3);
         for p in 1..n {
             assert_eq!(out.moves[p], Some(1), "player {p} must still move");
         }
@@ -599,24 +447,8 @@ mod tests {
     #[test]
     fn epsilon_variant_honest_run() {
         let n = 4; // k=0, t=1: n > 3 ✓
-        let spec = CheapTalkSpec::theorem_4_2(
-            n,
-            0,
-            1,
-            2,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![0; n],
-        );
-        let inputs: Vec<Vec<Fp>> = [1u64, 1, 1, 0].iter().map(|&b| vec![Fp::new(b)]).collect();
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &BTreeMap::new(),
-            &SchedulerKind::Random,
-            23,
-            2_000_000,
-        );
+        let game = majority(n, 0, 1).epsilon(2).inputs(bits(&[1, 1, 1, 0]));
+        let out = run(game, 23);
         let moves = out.resolve_default(&vec![9; n]);
         assert_eq!(moves, vec![1; n]);
     }
@@ -626,27 +458,14 @@ mod tests {
         // A lying input is *allowed* by the model (it is the player's own
         // input); verify the machinery wires it through.
         let n = 5;
-        let spec = majority_spec(n, 1, 0);
-        let inputs: Vec<Vec<Fp>> = [1u64, 1, 0, 0, 0]
-            .iter()
-            .map(|&b| vec![Fp::new(b)])
-            .collect();
-        let mut behaviors = BTreeMap::new();
-        behaviors.insert(
-            2usize,
-            Behavior {
-                input_override: Some(vec![Fp::ONE]),
-                ..Behavior::default()
-            },
-        );
-        let out = run_cheap_talk(
-            &spec,
-            &inputs,
-            &behaviors,
-            &SchedulerKind::Random,
-            31,
-            2_000_000,
-        );
+        let liar = Behavior {
+            input_override: Some(vec![Fp::ONE]),
+            ..Behavior::default()
+        };
+        let game = majority(n, 1, 0)
+            .inputs(bits(&[1, 1, 0, 0, 0]))
+            .deviant(2, liar);
+        let out = run(game, 31);
         // With the override the inputs become (1,1,1,0,0): majority 1.
         let moves = out.resolve_default(&vec![9; n]);
         assert_eq!(moves, vec![1; n]);

@@ -180,28 +180,26 @@ impl RobustnessReport {
     }
 }
 
-/// Builds an empirical robustness report for a cheap-talk spec: runs the
-/// honest baseline and every battery deviation (applied to `deviator`),
-/// converts outcomes to game utilities under the fixed `types` draw, and
-/// tabulates gains and harms.
+/// Builds an empirical robustness report for a cheap-talk plan: runs the
+/// honest baseline and every battery deviation (applied to `deviator`) as
+/// seed sweeps `0..samples` of the plan, converts outcomes to game utilities
+/// under the fixed `types` draw, and tabulates gains and harms.
 ///
-/// Moves are resolved with the AH semantics when the spec carries a
-/// punishment (wills) and with the spec's default actions otherwise. Actions
+/// Moves are resolved with the AH semantics when the plan carries a
+/// punishment (wills) and with its default actions otherwise. Actions
 /// outside the game's range are passed through to the utility function —
 /// the library games treat them as "something else" (zero matches), which is
 /// the natural reading of an off-menu move.
 pub fn cheap_talk_robustness_report(
-    spec: &crate::cheap_talk::CheapTalkSpec,
+    plan: &crate::scenario::CheapTalkPlan,
     game: &BayesianGame,
     types: &[usize],
-    inputs: &[Vec<Fp>],
     deviator: usize,
     samples: usize,
 ) -> RobustnessReport {
-    let n = spec.n;
-    // One validated plan; the baseline and every battery deviation are
-    // seed-sweep batches of it (fanned across worker threads by run_batch).
-    let plan = crate::scenario::CheapTalkPlan::from_spec(spec.clone(), inputs.to_vec());
+    let n = plan.spec().n;
+    // The baseline and every battery deviation are seed-sweep batches of
+    // the one plan (fanned across worker threads by run_batch).
     let runs_for = |plan: crate::scenario::CheapTalkPlan| -> Vec<(Vec<usize>, Vec<usize>)> {
         let set = plan.seeds(0..samples as u64).run_batch();
         set.outcomes()
@@ -281,7 +279,6 @@ pub fn empirical_utilities(game: &BayesianGame, runs: &[(Vec<usize>, Vec<usize>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cheap_talk::CheapTalkSpec;
     use mediator_circuits::catalog;
 
     #[test]
@@ -296,17 +293,14 @@ mod tests {
         // deviation, which also breaks unanimity).
         let n = 5;
         let game = mediator_games::library::byzantine_agreement_game(n);
-        let spec = CheapTalkSpec::theorem_4_1(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-            vec![0; n],
-        );
+        let plan = crate::scenario::Scenario::cheap_talk(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(1, 0)
+            .inputs(vec![vec![Fp::ONE]; n])
+            .build()
+            .expect("5 > 4");
         let types = vec![1usize; n];
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let report = cheap_talk_robustness_report(&spec, &game, &types, &inputs, 2, 4);
+        let report = cheap_talk_robustness_report(&plan, &game, &types, 2, 4);
         assert_eq!(report.rows.len(), Behavior::battery().len());
         // The lie-opens attack must not profit: outputs are corrected.
         let lie = report.rows.iter().find(|r| r.name == "lie-opens").unwrap();

@@ -21,7 +21,7 @@
 
 use mediator_circuits::Circuit;
 use mediator_field::Fp;
-use mediator_sim::{Action, Ctx, Outcome, Process, ProcessId, SchedulerKind, World};
+use mediator_sim::{Action, Ctx, Process, ProcessId, World};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -56,7 +56,10 @@ pub enum MedMsg {
     },
 }
 
-/// Specification of a mediator game execution.
+/// The engine config of a mediator-game execution: what
+/// [`MediatorGame::build`](crate::scenario::MediatorGame::build) produces
+/// from a validated scenario and
+/// [`MediatorPlan::spec`](crate::scenario::MediatorPlan::spec) returns.
 #[derive(Debug, Clone)]
 pub struct MediatorGameSpec {
     /// Number of players (the mediator is process `n`).
@@ -80,26 +83,6 @@ pub struct MediatorGameSpec {
 }
 
 impl MediatorGameSpec {
-    /// A standard one-round mediator game.
-    pub fn standard(
-        n: usize,
-        k: usize,
-        t: usize,
-        circuit: Circuit,
-        defaults: Vec<Vec<Fp>>,
-    ) -> Self {
-        MediatorGameSpec {
-            n,
-            k,
-            t,
-            circuit: Arc::new(circuit),
-            defaults,
-            naive_split: false,
-            extra_rounds: 0,
-            wills: None,
-        }
-    }
-
     /// How many complete inputs the mediator waits for.
     pub fn wait_for(&self) -> usize {
         if self.naive_split {
@@ -293,52 +276,6 @@ impl Process<MedMsg> for CircuitMediator {
     }
 }
 
-/// Runs one mediator game. `deviants` replaces the given players' processes;
-/// everyone else plays the honest canonical strategy with `inputs[p]`.
-/// Returns the sim outcome (resolve moves with the spec's wills or the
-/// game's default moves at the caller).
-///
-/// Thin, source-compatible wrapper over the builder surface
-/// ([`Scenario::mediator`](crate::scenario::Scenario::mediator)), running
-/// with the default starvation bound
-/// ([`DEFAULT_MEDIATOR_STARVATION_BOUND`](crate::scenario::DEFAULT_MEDIATOR_STARVATION_BOUND)
-/// — see that constant for why mediator games default looser than cheap
-/// talk); builder callers can override it with `.starvation_bound(…)`.
-/// The parity suite pins this wrapper byte-for-byte against the builder.
-pub fn run_mediator_game(
-    spec: &MediatorGameSpec,
-    inputs: &[Vec<Fp>],
-    deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>>,
-    kind: &SchedulerKind,
-    seed: u64,
-    max_steps: u64,
-) -> Outcome {
-    crate::scenario::MediatorPlan::from_spec(spec.clone(), inputs.to_vec())
-        .max_steps(max_steps)
-        .run_with_deviants(deviants, kind, seed)
-}
-
-/// Runs one mediator game under a **relaxed scheduler** (§5): messages from
-/// the mediator are dropped (whole batches at a time — the all-or-none rule
-/// of Lemma 6.10) after `drop_after` deliveries. This is the deadlock
-/// machinery of Propositions 6.9/6.11: with the mediator's STOP batch
-/// withheld, no honest player can move, and the wills (punishments) fire.
-///
-/// Thin wrapper over
-/// [`MediatorPlan::run_relaxed`](crate::scenario::MediatorPlan::run_relaxed).
-pub fn run_mediator_game_relaxed(
-    spec: &MediatorGameSpec,
-    inputs: &[Vec<Fp>],
-    deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>>,
-    drop_after: u64,
-    seed: u64,
-    max_steps: u64,
-) -> Outcome {
-    crate::scenario::MediatorPlan::from_spec(spec.clone(), inputs.to_vec())
-        .max_steps(max_steps)
-        .run_relaxed_with_deviants(deviants, drop_after, seed)
-}
-
 pub(crate) fn build_world(
     spec: &MediatorGameSpec,
     inputs: &[Vec<Fp>],
@@ -363,22 +300,22 @@ pub(crate) fn build_world(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deviations::SilentProcess;
+    use crate::scenario::{MediatorGame, Scenario};
     use mediator_circuits::catalog;
+    use mediator_sim::SchedulerKind;
 
-    fn majority_spec(n: usize) -> MediatorGameSpec {
-        MediatorGameSpec::standard(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-        )
+    /// A majority game over `n` players at tolerance `(1, 0)`.
+    fn majority(n: usize) -> MediatorGame {
+        Scenario::mediator(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(1, 0)
+            .max_steps(100_000)
     }
 
     #[test]
     fn honest_majority_game_everyone_plays_majority() {
         let n = 5;
-        let spec = majority_spec(n);
         // The mediator waits for n−k−t = 4 inputs and defaults the last to
         // 0, and *which* input arrives late depends on the scheduler (that
         // is the point of the asynchronous model). These inputs give
@@ -387,8 +324,9 @@ mod tests {
             .iter()
             .map(|&b| vec![Fp::new(b)])
             .collect();
+        let plan = majority(n).inputs(inputs).build().expect("n − k − t ≥ 1");
         for kind in SchedulerKind::battery(n) {
-            let out = run_mediator_game(&spec, &inputs, BTreeMap::new(), &kind, 7, 100_000);
+            let out = plan.run_with(&kind, 7);
             // The world has n+1 processes (the mediator never moves).
             let moves = out.resolve_default(&vec![9; n + 1]);
             assert_eq!(moves[..n], vec![1; n][..], "{kind:?}");
@@ -400,18 +338,12 @@ mod tests {
         // One player silent: mediator waits for n−k−t = 4 inputs, fills the
         // default, and everyone else still moves.
         let n = 5;
-        let spec = majority_spec(n);
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let mut deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>> = BTreeMap::new();
-        deviants.insert(2, Box::new(crate::deviations::SilentProcess));
-        let out = run_mediator_game(
-            &spec,
-            &inputs,
-            deviants,
-            &SchedulerKind::Random,
-            11,
-            100_000,
-        );
+        let out = majority(n)
+            .inputs(vec![vec![Fp::ONE]; n])
+            .deviant(2, || Box::new(SilentProcess))
+            .build()
+            .expect("n − k − t ≥ 1")
+            .run_with(&SchedulerKind::Random, 11);
         for (p, m) in out.moves.iter().enumerate() {
             if p != 2 && p < n {
                 assert_eq!(*m, Some(1), "player {p}");
@@ -423,18 +355,14 @@ mod tests {
     #[test]
     fn naive_split_mediator_sends_leak_then_stop() {
         let n = 4;
-        let mut spec =
-            MediatorGameSpec::standard(n, 1, 0, catalog::counterexample_naive(n), vec![vec![]; n]);
-        spec.naive_split = true;
-        let inputs = vec![vec![]; n];
-        let out = run_mediator_game(
-            &spec,
-            &inputs,
-            BTreeMap::new(),
-            &SchedulerKind::Random,
-            3,
-            100_000,
-        );
+        let out = Scenario::mediator(catalog::counterexample_naive(n))
+            .players(n)
+            .tolerance(1, 0)
+            .naive_split()
+            .max_steps(100_000)
+            .build()
+            .expect("n − k − t ≥ 1")
+            .run_with(&SchedulerKind::Random, 3);
         // All honest: everyone eventually moves the same bit b.
         let moves = out.moves[..n].to_vec();
         let b = moves[0].expect("moved");
@@ -455,13 +383,14 @@ mod tests {
         // (punishments) apply uniformly — the hypothesis Proposition 6.9
         // uses to price deadlocks at the punishment payoff.
         let n = 4;
-        let mut spec = majority_spec(n);
-        spec.wills = Some(vec![7; n]);
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
+        let plan = majority(n)
+            .wills(vec![7; n])
+            .inputs(vec![vec![Fp::ONE]; n])
+            .build()
+            .expect("n − k − t ≥ 1");
         // Let the players' inputs through, then drop everything the
         // mediator sends (its STOP batch).
-        let out =
-            run_mediator_game_relaxed(&spec, &inputs, BTreeMap::new(), n as u64 + 1, 3, 100_000);
+        let out = plan.run_relaxed(n as u64 + 1, 3);
         assert!(
             out.trace.dropped_count() > 0,
             "mediator batch must be dropped"
@@ -480,9 +409,11 @@ mod tests {
         // run is indistinguishable from a non-relaxed one (the paper's
         // "deadlock iff no STOP delivered" characterization).
         let n = 4;
-        let spec = majority_spec(n);
-        let inputs: Vec<Vec<Fp>> = vec![vec![Fp::ONE]; n];
-        let out = run_mediator_game_relaxed(&spec, &inputs, BTreeMap::new(), 10_000, 3, 100_000);
+        let plan = majority(n)
+            .inputs(vec![vec![Fp::ONE]; n])
+            .build()
+            .expect("n − k − t ≥ 1");
+        let out = plan.run_relaxed(10_000, 3);
         for p in 0..n {
             assert_eq!(out.moves[p], Some(1));
         }
@@ -491,22 +422,16 @@ mod tests {
     #[test]
     fn wills_are_left_when_configured() {
         let n = 4;
-        let mut spec = majority_spec(n);
-        spec.wills = Some(vec![7; n]);
-        // Mediator never gets enough inputs: 3 players silent (wait_for=3
-        // with k=1,t=0... n−k−t = 3, so make all 4 silent except one).
-        let mut deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>> = BTreeMap::new();
+        // Mediator never gets enough inputs: it waits for n−k−t = 3, and
+        // only player 0 of the 4 speaks.
+        let mut game = majority(n).wills(vec![7; n]).inputs(vec![vec![Fp::ONE]; n]);
         for p in 1..n {
-            deviants.insert(p, Box::new(crate::deviations::SilentProcess));
+            game = game.deviant(p, || Box::new(SilentProcess));
         }
-        let out = run_mediator_game(
-            &spec,
-            &vec![vec![Fp::ONE]; n],
-            deviants,
-            &SchedulerKind::Random,
-            5,
-            100_000,
-        );
+        let out = game
+            .build()
+            .expect("n − k − t ≥ 1")
+            .run_with(&SchedulerKind::Random, 5);
         // Player 0 deadlocks; AH resolution plays its will.
         assert_eq!(out.moves[0], None);
         let resolved = out.resolve_ah(&vec![0; n + 1]);

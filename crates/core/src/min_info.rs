@@ -264,24 +264,20 @@ mod tests {
 
     #[test]
     fn pattern_classes_distinguish_schedulers_and_respect_determinism() {
-        use crate::mediator::{run_mediator_game, MediatorGameSpec};
+        use crate::scenario::Scenario;
         use mediator_circuits::catalog;
         use mediator_field::Fp;
         use mediator_sim::SchedulerKind;
-        use std::collections::BTreeMap;
 
         let n = 4;
-        let spec = MediatorGameSpec::standard(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
-        );
-        let inputs = vec![vec![Fp::ONE]; n];
-        let run = |kind: &SchedulerKind, seed| {
-            run_mediator_game(&spec, &inputs, BTreeMap::new(), kind, seed, 100_000).trace
-        };
+        let plan = Scenario::mediator(catalog::majority_circuit(n))
+            .players(n)
+            .tolerance(1, 0)
+            .inputs(vec![vec![Fp::ONE]; n])
+            .max_steps(100_000)
+            .build()
+            .expect("n − k − t ≥ 1");
+        let run = |kind: &SchedulerKind, seed| plan.run_with(kind, seed).trace;
         // Determinism: same kind + seed → same class.
         let a = run(&SchedulerKind::Fifo, 7);
         let b = run(&SchedulerKind::Fifo, 7);

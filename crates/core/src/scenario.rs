@@ -1,13 +1,14 @@
 //! The Scenario API: the builder-first experiment surface of the crate.
 //!
 //! The paper's claims are statements about *distributions of outcomes over
-//! scheduler batteries and seeds*, yet the historical entry points were
-//! positional free functions — every caller hand-rolled its own seed loop,
-//! scheduler loop, and aggregation. This module is the one validated,
-//! batch-native surface they all go through now (the free functions
-//! [`run_cheap_talk`](crate::cheap_talk::run_cheap_talk) and
-//! [`run_mediator_game`](crate::mediator::run_mediator_game) survive as
-//! thin wrappers, pinned by parity tests):
+//! scheduler batteries and seeds*, made inside each theorem's resilience
+//! threshold. This module is the one way to configure and run a cheap-talk
+//! or mediator game: every plan comes out of a builder's `build()`, which
+//! checks the threshold, so no run reaches the engine with an `(n, k, t)`
+//! point the selected theorem does not admit (unless the caller opts out
+//! with [`CheapTalk::allow_sub_threshold`]). The engine configs
+//! [`CheapTalkSpec`] and [`MediatorGameSpec`] are what `build()` produces
+//! and what `plan.spec()` returns:
 //!
 //! * **[`Scenario`] builders** — `Scenario::cheap_talk(circuit)` /
 //!   `Scenario::mediator(circuit)` with fluent `.players(n)`,
@@ -161,8 +162,9 @@ impl fmt::Display for Theorem {
     }
 }
 
-/// A rejected scenario: the typed build-time diagnosis that replaces the
-/// downstream panics of the positional API.
+/// A rejected scenario: the typed build-time diagnosis of a configuration
+/// the engines would otherwise panic on (or silently run outside its
+/// theorem's guarantee).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
     /// `(n, k, t)` violates the selected theorem's resilience threshold.
@@ -243,6 +245,73 @@ impl fmt::Display for ScenarioError {
 }
 
 impl std::error::Error for ScenarioError {}
+
+/// `Err(ArityMismatch)` unless a vector argument has the expected length.
+fn check_len(what: &'static str, expected: usize, got: usize) -> Result<(), ScenarioError> {
+    if expected == got {
+        Ok(())
+    } else {
+        Err(ScenarioError::ArityMismatch {
+            what,
+            expected,
+            got,
+        })
+    }
+}
+
+/// `Err(PlayerOutOfRange)` unless `player < n`.
+fn check_player(what: &'static str, player: usize, n: usize) -> Result<(), ScenarioError> {
+    if player < n {
+        Ok(())
+    } else {
+        Err(ScenarioError::PlayerOutOfRange { what, player, n })
+    }
+}
+
+/// One input vector per player.
+type PlayerInputs = Vec<Vec<Fp>>;
+
+/// Resolves the per-player default and actual inputs of either builder,
+/// returning `(defaults, inputs)`. Defaults are zeroes of the circuit's
+/// per-player arity unless overridden; players without an explicit input
+/// play their default. Every default and every input must carry exactly
+/// its player's circuit arity: the MPC engine and the circuit evaluator
+/// index by it (a mismatch panics mid-run), and the mediator silently
+/// drops an input whose arity differs from the player's default.
+fn resolve_inputs(
+    circuit: &Circuit,
+    defaults: Option<PlayerInputs>,
+    inputs_all: Option<PlayerInputs>,
+    inputs_one: Vec<(usize, Vec<Fp>)>,
+) -> Result<(PlayerInputs, PlayerInputs), ScenarioError> {
+    let arity = circuit.inputs_per_player();
+    let n = arity.len();
+    let defaults = match defaults {
+        Some(d) => {
+            check_len("default inputs", n, d.len())?;
+            for (default, &a) in d.iter().zip(arity) {
+                check_len("default inputs", a, default.len())?;
+            }
+            d
+        }
+        None => arity.iter().map(|&a| vec![Fp::ZERO; a]).collect(),
+    };
+    let mut inputs = match inputs_all {
+        Some(i) => {
+            check_len("inputs", n, i.len())?;
+            i
+        }
+        None => defaults.clone(),
+    };
+    for (p, input) in inputs_one {
+        check_player("input", p, n)?;
+        inputs[p] = input;
+    }
+    for (input, &a) in inputs.iter().zip(arity) {
+        check_len("player input arity", a, input.len())?;
+    }
+    Ok((defaults, inputs))
+}
 
 /// Entry point of the builder surface.
 pub struct Scenario;
@@ -496,81 +565,20 @@ impl CheapTalk {
                 });
             }
         }
-        let arity = self.circuit.inputs_per_player().to_vec();
-        let defaults = match self.defaults {
-            Some(d) => {
-                if d.len() != n {
-                    return Err(ScenarioError::ArityMismatch {
-                        what: "default inputs",
-                        expected: n,
-                        got: d.len(),
-                    });
-                }
-                d
-            }
-            None => arity.iter().map(|&a| vec![Fp::ZERO; a]).collect(),
-        };
-        let default_actions = match self.default_actions {
-            Some(a) if a.len() != n => {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "default actions",
-                    expected: n,
-                    got: a.len(),
-                });
-            }
-            Some(a) => a,
-            None => vec![0; n],
-        };
+        let (defaults, inputs) = resolve_inputs(
+            &self.circuit,
+            self.defaults,
+            self.inputs_all,
+            self.inputs_one,
+        )?;
+        let default_actions = self.default_actions.unwrap_or_else(|| vec![0; n]);
+        check_len("default actions", n, default_actions.len())?;
         if let Some(p) = &self.punishment {
-            if p.len() != n {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "wills",
-                    expected: n,
-                    got: p.len(),
-                });
-            }
-        }
-        let mut inputs = match self.inputs_all {
-            Some(i) => {
-                if i.len() != n {
-                    return Err(ScenarioError::ArityMismatch {
-                        what: "inputs",
-                        expected: n,
-                        got: i.len(),
-                    });
-                }
-                i
-            }
-            None => defaults.clone(),
-        };
-        for (p, input) in self.inputs_one {
-            if p >= n {
-                return Err(ScenarioError::PlayerOutOfRange {
-                    what: "input",
-                    player: p,
-                    n,
-                });
-            }
-            inputs[p] = input;
-        }
-        for (p, input) in inputs.iter().enumerate() {
-            if input.len() != arity[p] {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "player input arity",
-                    expected: arity[p],
-                    got: input.len(),
-                });
-            }
+            check_len("wills", n, p.len())?;
         }
         let mut behaviors = BTreeMap::new();
         for (p, b) in self.behaviors {
-            if p >= n {
-                return Err(ScenarioError::PlayerOutOfRange {
-                    what: "deviant",
-                    player: p,
-                    n,
-                });
-            }
+            check_player("deviant", p, n)?;
             behaviors.insert(p, b);
         }
         let barrier = self.punishment.is_some();
@@ -617,23 +625,6 @@ pub struct CheapTalkPlan {
 }
 
 impl CheapTalkPlan {
-    /// Adopts a pre-validated [`CheapTalkSpec`] (the escape hatch the
-    /// source-compatible free-function wrappers go through — **no theorem
-    /// threshold check happens here**; use [`Scenario::cheap_talk`] for the
-    /// validated path).
-    pub fn from_spec(spec: CheapTalkSpec, inputs: Vec<Vec<Fp>>) -> Self {
-        assert_eq!(inputs.len(), spec.n);
-        CheapTalkPlan {
-            spec,
-            inputs,
-            behaviors: BTreeMap::new(),
-            scheduler: SchedulerKind::Random,
-            seed: 0,
-            max_steps: 8_000_000,
-            starvation_bound: DEFAULT_CHEAP_TALK_STARVATION_BOUND,
-        }
-    }
-
     /// The validated spec.
     pub fn spec(&self) -> &CheapTalkSpec {
         &self.spec
@@ -642,12 +633,6 @@ impl CheapTalkPlan {
     /// The resolved per-player inputs.
     pub fn inputs(&self) -> &[Vec<Fp>] {
         &self.inputs
-    }
-
-    /// Replaces the whole deviation map.
-    pub fn with_behaviors(mut self, behaviors: BTreeMap<usize, Behavior>) -> Self {
-        self.behaviors = behaviors;
-        self
     }
 
     /// Adds (or replaces) one player's deviation.
@@ -681,7 +666,9 @@ impl CheapTalkPlan {
         self
     }
 
-    fn build_world(&self, seed: u64) -> World<CtMsg> {
+    /// The game's world with the plan's starvation bound, retuned for
+    /// deterministic replay under a [`SchedulerKind::Replay`] kind.
+    fn build_world(&self, kind: &SchedulerKind, seed: u64) -> World<CtMsg> {
         let n = self.spec.n;
         let procs: Vec<Box<dyn Process<CtMsg>>> = (0..n)
             .map(|p| {
@@ -696,6 +683,7 @@ impl CheapTalkPlan {
             .collect();
         let mut world = World::new(procs, seed);
         world.set_starvation_bound(self.starvation_bound);
+        tune_world_for_replay(&mut world, kind);
         world
     }
 
@@ -708,8 +696,7 @@ impl CheapTalkPlan {
     /// [`SchedulerKind::Replay`] kind re-enacts a recorded run: the
     /// watchdog is disabled and drops are enabled iff the script has them.
     pub fn run_with(&self, kind: &SchedulerKind, seed: u64) -> Outcome {
-        let mut world = self.build_world(seed);
-        tune_world_for_replay(&mut world, kind);
+        let mut world = self.build_world(kind, seed);
         let mut sched = kind.build();
         world.run(sched.as_mut(), self.max_steps)
     }
@@ -721,9 +708,7 @@ impl CheapTalkPlan {
 
     /// Opens a steppable [`Session`] with an explicit scheduler and seed.
     pub fn session_with(&self, kind: &SchedulerKind, seed: u64) -> Session<CtMsg> {
-        let mut world = self.build_world(seed);
-        tune_world_for_replay(&mut world, kind);
-        Session::new(world, kind.build(), self.max_steps)
+        Session::new(self.build_world(kind, seed), kind.build(), self.max_steps)
     }
 
     /// Starts a batch over the given scheduler battery (seeds default to
@@ -930,84 +915,19 @@ impl MediatorGame {
                 t: self.t,
             });
         }
-        let arity = self.circuit.inputs_per_player().to_vec();
-        let defaults = match self.defaults {
-            Some(d) => {
-                if d.len() != n {
-                    return Err(ScenarioError::ArityMismatch {
-                        what: "default inputs",
-                        expected: n,
-                        got: d.len(),
-                    });
-                }
-                d
-            }
-            None => arity.iter().map(|&a| vec![Fp::ZERO; a]).collect(),
-        };
+        let (defaults, inputs) = resolve_inputs(
+            &self.circuit,
+            self.defaults,
+            self.inputs_all,
+            self.inputs_one,
+        )?;
         if let Some(w) = &self.wills {
-            if w.len() != n {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "wills",
-                    expected: n,
-                    got: w.len(),
-                });
-            }
+            check_len("wills", n, w.len())?;
         }
-        let resolve_defaults = match self.resolve_defaults {
-            Some(a) if a.len() != n => {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "resolve defaults",
-                    expected: n,
-                    got: a.len(),
-                });
-            }
-            Some(a) => a,
-            None => vec![0; n],
-        };
-        let mut inputs = match self.inputs_all {
-            Some(i) => {
-                if i.len() != n {
-                    return Err(ScenarioError::ArityMismatch {
-                        what: "inputs",
-                        expected: n,
-                        got: i.len(),
-                    });
-                }
-                i
-            }
-            None => defaults.clone(),
-        };
-        for (p, input) in self.inputs_one {
-            if p >= n {
-                return Err(ScenarioError::PlayerOutOfRange {
-                    what: "input",
-                    player: p,
-                    n,
-                });
-            }
-            inputs[p] = input;
-        }
-        // The mediator accepts an input iff its arity matches the player's
-        // default (mediator.rs `on_message`): reject the mismatch here
-        // instead of letting the input be silently ignored downstream.
-        for (p, input) in inputs.iter().enumerate() {
-            if input.len() != defaults[p].len() {
-                return Err(ScenarioError::ArityMismatch {
-                    what: "player input arity",
-                    expected: defaults[p].len(),
-                    got: input.len(),
-                });
-            }
-        }
-        for (p, f) in &self.deviants {
-            let _ = f;
-            if *p >= n {
-                return Err(ScenarioError::PlayerOutOfRange {
-                    what: "deviant",
-                    player: *p,
-                    n,
-                });
-            }
+        let resolve_defaults = self.resolve_defaults.unwrap_or_else(|| vec![0; n]);
+        check_len("resolve defaults", n, resolve_defaults.len())?;
+        for (p, _) in &self.deviants {
+            check_player("deviant", *p, n)?;
         }
         let spec = MediatorGameSpec {
             n,
@@ -1064,23 +984,6 @@ impl fmt::Debug for MediatorPlan {
 }
 
 impl MediatorPlan {
-    /// Adopts a pre-validated [`MediatorGameSpec`] (the escape hatch the
-    /// source-compatible free-function wrappers go through; no validation).
-    pub fn from_spec(spec: MediatorGameSpec, inputs: Vec<Vec<Fp>>) -> Self {
-        assert_eq!(inputs.len(), spec.n);
-        let resolve_defaults = vec![0; spec.n];
-        MediatorPlan {
-            spec,
-            inputs,
-            deviants: Vec::new(),
-            resolve_defaults,
-            starvation_bound: DEFAULT_MEDIATOR_STARVATION_BOUND,
-            scheduler: SchedulerKind::Random,
-            seed: 0,
-            max_steps: 200_000,
-        }
-    }
-
     /// The validated spec.
     pub fn spec(&self) -> &MediatorGameSpec {
         &self.spec
@@ -1126,8 +1029,21 @@ impl MediatorPlan {
         self
     }
 
-    fn make_deviants(&self) -> BTreeMap<usize, Box<dyn Process<MedMsg>>> {
-        self.deviants.iter().map(|(p, f)| (*p, f())).collect()
+    /// The game's world with fresh deviant processes; the mediator is
+    /// process `n`.
+    fn build_world(&self, seed: u64) -> World<MedMsg> {
+        let deviants = self.deviants.iter().map(|(p, f)| (*p, f())).collect();
+        build_mediator_world(&self.spec, &self.inputs, deviants, seed)
+    }
+
+    /// The world of a scheduled (non-relaxed) run: the plan's starvation
+    /// bound, retuned for deterministic replay under a
+    /// [`SchedulerKind::Replay`] kind.
+    fn scheduled_world(&self, kind: &SchedulerKind, seed: u64) -> World<MedMsg> {
+        let mut world = self.build_world(seed);
+        world.set_starvation_bound(self.starvation_bound);
+        tune_world_for_replay(&mut world, kind);
+        world
     }
 
     /// Runs once with the configured scheduler and seed.
@@ -1137,45 +1053,22 @@ impl MediatorPlan {
 
     /// Runs once with an explicit scheduler kind and seed.
     pub fn run_with(&self, kind: &SchedulerKind, seed: u64) -> Outcome {
-        self.run_with_deviants(self.make_deviants(), kind, seed)
-    }
-
-    /// Runs once with explicit (non-factory) deviant processes — the path
-    /// the by-value [`run_mediator_game`](crate::mediator::run_mediator_game)
-    /// wrapper takes.
-    pub fn run_with_deviants(
-        &self,
-        deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>>,
-        kind: &SchedulerKind,
-        seed: u64,
-    ) -> Outcome {
-        let mut world = build_mediator_world(&self.spec, &self.inputs, deviants, seed);
-        world.set_starvation_bound(self.starvation_bound);
-        tune_world_for_replay(&mut world, kind);
+        let mut world = self.scheduled_world(kind, seed);
         let mut sched = kind.build();
         world.run(sched.as_mut(), self.max_steps)
     }
 
     /// Runs once under a **relaxed scheduler** (§5): the mediator's
     /// messages are dropped — whole batches at a time, the all-or-none rule
-    /// of Lemma 6.10 — after `drop_after` deliveries. No starvation bound
-    /// applies: force-delivering withheld messages would contradict the
-    /// blackout a relaxed environment is allowed to impose.
+    /// of Lemma 6.10 — after `drop_after` deliveries. This is the deadlock
+    /// machinery of Propositions 6.9/6.11: with the mediator's STOP batch
+    /// withheld, no honest player can move, and the wills fire. No
+    /// starvation bound applies: force-delivering withheld messages would
+    /// contradict the blackout a relaxed environment is allowed to impose.
     pub fn run_relaxed(&self, drop_after: u64, seed: u64) -> Outcome {
-        self.run_relaxed_with_deviants(self.make_deviants(), drop_after, seed)
-    }
-
-    /// The explicit-deviants variant of [`MediatorPlan::run_relaxed`].
-    pub fn run_relaxed_with_deviants(
-        &self,
-        deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>>,
-        drop_after: u64,
-        seed: u64,
-    ) -> Outcome {
-        let mediator = self.spec.n;
-        let mut world = build_mediator_world(&self.spec, &self.inputs, deviants, seed);
+        let mut world = self.build_world(seed);
         world.allow_drops();
-        let mut sched = RelaxedScheduler::new(vec![mediator], drop_after);
+        let mut sched = RelaxedScheduler::new(vec![self.spec.n], drop_after);
         world.run(&mut sched, self.max_steps)
     }
 
@@ -1186,10 +1079,11 @@ impl MediatorPlan {
 
     /// Opens a steppable [`Session`] with an explicit scheduler and seed.
     pub fn session_with(&self, kind: &SchedulerKind, seed: u64) -> Session<MedMsg> {
-        let mut world = build_mediator_world(&self.spec, &self.inputs, self.make_deviants(), seed);
-        world.set_starvation_bound(self.starvation_bound);
-        tune_world_for_replay(&mut world, kind);
-        Session::new(world, kind.build(), self.max_steps)
+        Session::new(
+            self.scheduled_world(kind, seed),
+            kind.build(),
+            self.max_steps,
+        )
     }
 
     /// Starts a batch over the given scheduler battery.
@@ -1724,21 +1618,39 @@ mod tests {
     }
 
     #[test]
-    fn mediator_from_spec_batches_resolve_without_panicking() {
-        // The from_spec escape hatch must leave a usable resolver: the
-        // mediator world has n+1 processes and the mediator never moves.
-        let n = 4;
-        let spec = MediatorGameSpec::standard(
-            n,
-            1,
-            0,
-            catalog::majority_circuit(n),
-            vec![vec![Fp::ZERO]; n],
+    fn default_input_arity_is_validated_for_both_games() {
+        // Per-player defaults must carry the circuit's arity: the engines
+        // index by it, so a mismatch must fail the build, not the run.
+        let err = Scenario::cheap_talk(catalog::majority_circuit(5))
+            .players(5)
+            .tolerance(1, 0)
+            .inputs(vec![vec![Fp::ONE]; 5])
+            .default_inputs(vec![vec![]; 5])
+            .build()
+            .expect_err("empty defaults for one-input players");
+        assert_eq!(
+            err,
+            ScenarioError::ArityMismatch {
+                what: "default inputs",
+                expected: 1,
+                got: 0
+            }
         );
-        let plan = MediatorPlan::from_spec(spec, vec![vec![Fp::ONE]; n]);
-        let set = plan.seeds(0..2).threads(1).run_batch();
-        assert!((set.pooled().prob(&[1; 4]) - 1.0).abs() < 1e-12);
-        assert_eq!(set.distributions().len(), 1);
+        let err = Scenario::mediator(catalog::majority_circuit(5))
+            .players(5)
+            .tolerance(1, 0)
+            .inputs(vec![vec![Fp::ONE, Fp::ONE]; 5])
+            .default_inputs(vec![vec![Fp::ZERO, Fp::ZERO]; 5])
+            .build()
+            .expect_err("two-input defaults for one-input players");
+        assert_eq!(
+            err,
+            ScenarioError::ArityMismatch {
+                what: "default inputs",
+                expected: 1,
+                got: 2
+            }
+        );
     }
 
     #[test]

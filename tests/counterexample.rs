@@ -5,10 +5,9 @@
 use mediator_talk::circuits::catalog;
 use mediator_talk::core::adversary::Conformance;
 use mediator_talk::core::deviations::CounterexampleColluder;
-use mediator_talk::core::{run_mediator_game, MedMsg, MediatorGameSpec, Scenario};
+use mediator_talk::core::Scenario;
 use mediator_talk::games::{library, punishment, Strategy};
-use mediator_talk::sim::{Process, SchedulerKind};
-use std::collections::BTreeMap;
+use mediator_talk::sim::SchedulerKind;
 
 const BOT: u64 = library::BOTTOM as u64;
 
@@ -19,22 +18,22 @@ fn run(n: usize, naive: bool, collude: bool, seed: u64) -> Vec<usize> {
     } else {
         catalog::counterexample_minfo(n)
     };
-    let mut spec = MediatorGameSpec::standard(n, k, 0, circuit, vec![vec![]; n]);
-    spec.naive_split = naive;
-    spec.wills = Some(vec![BOT; n]);
-    let mut deviants: BTreeMap<usize, Box<dyn Process<MedMsg>>> = BTreeMap::new();
-    if collude {
-        deviants.insert(0, Box::new(CounterexampleColluder::new(n, 1)));
-        deviants.insert(1, Box::new(CounterexampleColluder::new(n, 0)));
+    let mut game = Scenario::mediator(circuit)
+        .players(n)
+        .tolerance(k, 0)
+        .wills(vec![BOT; n]);
+    if naive {
+        game = game.naive_split();
     }
-    let out = run_mediator_game(
-        &spec,
-        &vec![vec![]; n],
-        deviants,
-        &SchedulerKind::Random,
-        seed,
-        200_000,
-    );
+    if collude {
+        game = game
+            .deviant(0, move || Box::new(CounterexampleColluder::new(n, 1)))
+            .deviant(1, move || Box::new(CounterexampleColluder::new(n, 0)));
+    }
+    let out = game
+        .build()
+        .expect("n − k ≥ 1")
+        .run_with(&SchedulerKind::Random, seed);
     out.resolve_ah(&vec![BOT; n + 1])[..n]
         .iter()
         .map(|&a| a as usize)

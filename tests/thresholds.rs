@@ -2,38 +2,44 @@
 
 use mediator_talk::circuits::catalog;
 use mediator_talk::core::deviations::Behavior;
-use mediator_talk::core::{run_cheap_talk, CheapTalkSpec};
+use mediator_talk::core::scenario::{CheapTalk, Scenario, ScenarioError, Theorem};
 use mediator_talk::field::Fp;
 use mediator_talk::sim::SchedulerKind;
-use std::collections::BTreeMap;
 
-fn ones(n: usize) -> Vec<Vec<Fp>> {
-    vec![vec![Fp::ONE]; n]
+/// A majority game over `n` players at tolerance `(k, t)`, all-ones inputs.
+fn majority(n: usize, k: usize, t: usize) -> CheapTalk {
+    Scenario::cheap_talk(catalog::majority_circuit(n))
+        .players(n)
+        .tolerance(k, t)
+        .inputs(vec![vec![Fp::ONE]; n])
 }
 
 #[test]
 fn theorem_4_1_exact_threshold_accepted_and_below_rejected() {
     for f in 1..=2usize {
         // n = 4f + 1 accepted...
-        let spec = CheapTalkSpec::theorem_4_1(
-            4 * f + 1,
-            f,
-            0,
-            catalog::majority_circuit(4 * f + 1),
-            vec![vec![Fp::ZERO]; 4 * f + 1],
-            vec![0; 4 * f + 1],
-        );
+        let plan = majority(4 * f + 1, f, 0).build().expect("n = 4f + 1");
+        let spec = plan.spec();
         assert_eq!(spec.f(), f);
         spec.mpc_config().validate(spec.circuit.inputs_per_player());
-        // ... n = 4f rejected (the OEC liveness bound fails).
-        let spec_low = CheapTalkSpec::theorem_4_1(
-            4 * f,
-            f,
-            0,
-            catalog::majority_circuit(4 * f),
-            vec![vec![Fp::ZERO]; 4 * f],
-            vec![0; 4 * f],
+        // ... n = 4f rejected, by the builder with a typed error ...
+        let err = majority(4 * f, f, 0).build().expect_err("n = 4f");
+        assert_eq!(
+            err,
+            ScenarioError::Threshold {
+                theorem: Theorem::Robust41,
+                n: 4 * f,
+                k: f,
+                t: 0
+            }
         );
+        // ... and by the engine itself (the OEC liveness bound fails) when
+        // the builder's check is waived.
+        let low = majority(4 * f, f, 0)
+            .allow_sub_threshold()
+            .build()
+            .expect("k + t < n");
+        let spec_low = low.spec();
         let res = std::panic::catch_unwind(|| {
             spec_low
                 .mpc_config()
@@ -47,37 +53,25 @@ fn theorem_4_1_exact_threshold_accepted_and_below_rejected() {
 fn theorem_4_1_tolerates_f_mixed_faults_at_threshold() {
     // n = 4f+1 with f = k+t = 2: one silent + one lying player.
     let n = 9;
-    let spec = CheapTalkSpec::theorem_4_1(
-        n,
-        1,
-        1,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![0; n],
-    );
-    let mut behaviors = BTreeMap::new();
-    behaviors.insert(
-        0usize,
-        Behavior {
-            silent: true,
-            ..Behavior::default()
-        },
-    );
-    behaviors.insert(
-        1usize,
-        Behavior {
-            lie_in_opens: true,
-            ..Behavior::default()
-        },
-    );
-    let out = run_cheap_talk(
-        &spec,
-        &ones(n),
-        &behaviors,
-        &SchedulerKind::Random,
-        5,
-        20_000_000,
-    );
+    let out = majority(n, 1, 1)
+        .deviant(
+            0,
+            Behavior {
+                silent: true,
+                ..Behavior::default()
+            },
+        )
+        .deviant(
+            1,
+            Behavior {
+                lie_in_opens: true,
+                ..Behavior::default()
+            },
+        )
+        .max_steps(20_000_000)
+        .build()
+        .expect("9 > 8")
+        .run_with(&SchedulerKind::Random, 5);
     for p in 2..n {
         assert_eq!(out.moves[p], Some(1), "player {p}");
     }
@@ -86,55 +80,28 @@ fn theorem_4_1_tolerates_f_mixed_faults_at_threshold() {
 #[test]
 fn theorem_4_2_threshold_n_3f_plus_1_runs() {
     let n = 4; // f = 1
-    let spec = CheapTalkSpec::theorem_4_2(
-        n,
-        0,
-        1,
-        2,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![0; n],
-    );
-    let out = run_cheap_talk(
-        &spec,
-        &ones(n),
-        &BTreeMap::new(),
-        &SchedulerKind::Random,
-        9,
-        8_000_000,
-    );
+    let out = majority(n, 0, 1)
+        .epsilon(2)
+        .build()
+        .expect("4 > 3")
+        .run_with(&SchedulerKind::Random, 9);
     assert_eq!(out.resolve_default(&vec![0; n]), vec![1; n]);
 }
 
 #[test]
 fn theorem_4_4_crash_cannot_split_honest_players() {
     let n = 6;
-    let spec = CheapTalkSpec::theorem_4_4(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![5; n],
-        vec![0; n],
-    );
     for seed in 0..8u64 {
-        let mut behaviors = BTreeMap::new();
-        behaviors.insert(
-            2usize,
-            Behavior {
-                crash_after_sends: Some(25 + 10 * seed),
-                ..Behavior::default()
-            },
-        );
-        let out = run_cheap_talk(
-            &spec,
-            &ones(n),
-            &behaviors,
-            &SchedulerKind::Random,
-            seed,
-            8_000_000,
-        );
+        let crash = Behavior {
+            crash_after_sends: Some(25 + 10 * seed),
+            ..Behavior::default()
+        };
+        let out = majority(n, 1, 0)
+            .wills(vec![5; n])
+            .deviant(2, crash)
+            .build()
+            .expect("6 > 3")
+            .run_with(&SchedulerKind::Random, seed);
         let honest: Vec<bool> = (0..n)
             .filter(|&p| p != 2)
             .map(|p| out.moves[p].is_some())
@@ -150,24 +117,12 @@ fn theorem_4_4_crash_cannot_split_honest_players() {
 fn theorem_4_5_runs_at_2k_3t_plus_1() {
     let (k, t) = (1usize, 1usize);
     let n = 2 * k + 3 * t + 1; // 6
-    let spec = CheapTalkSpec::theorem_4_5(
-        n,
-        k,
-        t,
-        2,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![5; n],
-        vec![0; n],
-    );
-    let out = run_cheap_talk(
-        &spec,
-        &ones(n),
-        &BTreeMap::new(),
-        &SchedulerKind::Random,
-        11,
-        8_000_000,
-    );
+    let out = majority(n, k, t)
+        .epsilon(2)
+        .wills(vec![5; n])
+        .build()
+        .expect("6 > 5")
+        .run_with(&SchedulerKind::Random, 11);
     let moves = out.resolve_default(&vec![0; n]);
     assert_eq!(moves, vec![1; n]);
 }
@@ -180,15 +135,6 @@ fn combined_adversary_deviator_plus_colluding_scheduler() {
     // player the deviator targets): the robust protocol must still deliver
     // the right outcome to everyone who moves.
     let n = 5;
-    let spec = CheapTalkSpec::theorem_4_1(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![0; n],
-    );
-    let inputs = ones(n);
     for (deviator, victim) in [(0usize, 1usize), (2, 3)] {
         for behavior in [
             Behavior {
@@ -200,10 +146,13 @@ fn combined_adversary_deviator_plus_colluding_scheduler() {
                 ..Behavior::default()
             },
         ] {
-            let mut behaviors = BTreeMap::new();
-            behaviors.insert(deviator, behavior);
             let kind = SchedulerKind::TargetedDelay(vec![victim]);
-            let out = run_cheap_talk(&spec, &inputs, &behaviors, &kind, 13, 20_000_000);
+            let out = majority(n, 1, 0)
+                .deviant(deviator, behavior)
+                .max_steps(20_000_000)
+                .build()
+                .expect("5 > 4")
+                .run_with(&kind, 13);
             for p in 0..n {
                 if p != deviator {
                     assert_eq!(
@@ -220,16 +169,12 @@ fn combined_adversary_deviator_plus_colluding_scheduler() {
 #[test]
 fn adversarial_schedulers_do_not_change_the_robust_outcome() {
     let n = 5;
-    let spec = CheapTalkSpec::theorem_4_1(
-        n,
-        1,
-        0,
-        catalog::majority_circuit(n),
-        vec![vec![Fp::ZERO]; n],
-        vec![0; n],
-    );
+    let plan = majority(n, 1, 0)
+        .max_steps(20_000_000)
+        .build()
+        .expect("5 > 4");
     for kind in SchedulerKind::battery(n) {
-        let out = run_cheap_talk(&spec, &ones(n), &BTreeMap::new(), &kind, 3, 20_000_000);
+        let out = plan.run_with(&kind, 3);
         assert_eq!(
             out.resolve_default(&vec![0; n]),
             vec![1; n],
